@@ -139,7 +139,16 @@ def _load_model_and_vocabs(checkpoint: str):
         model = load_checkpoint(checkpoint)
     except CheckpointError as exc:
         raise InputError(f"cannot load checkpoint: {exc}") from exc
-    return model, Vocab.load(input_path), Vocab.load(output_path)
+    input_vocab, output_vocab = Vocab.load(input_path), Vocab.load(output_path)
+    for path, vocab, size in (
+        (input_path, input_vocab, model.config.input_vocab_size),
+        (output_path, output_vocab, model.config.output_vocab_size),
+    ):
+        if len(vocab) != size:
+            raise InputError(
+                f"{path} has {len(vocab)} tokens, the checkpoint expects {size}"
+            )
+    return model, input_vocab, output_vocab
 
 
 def _normalized_records(path: str):
@@ -156,29 +165,18 @@ def _normalized_records(path: str):
 
 def _source_of(text: str) -> str:
     """Reduce a reaction string to its model input: everything up to the
-    products, second '>' included, molecules canonicalized and sorted the
-    same way the training data was normalized."""
-    from .molgraph import GraphError, canonical_from_string
-    from .smiles import MalformedReaction, SmilesError, split_reaction
+    products, second '>' included, normalized as the training data was."""
+    from .pipeline import CanonicalizationError, normalize, parse_record, source_string
+    from .smiles import MalformedReaction, split_reaction
 
     if ">" not in text:
         raise InputError(f"not a reaction string (no '>'): {text!r}")
     try:
         parts = split_reaction(text)
-    except MalformedReaction as exc:
+        record = parse_record(f"{parts.reactants}>{parts.reagents}>")
+        return source_string(normalize(record))
+    except (MalformedReaction, CanonicalizationError) as exc:
         raise InputError(str(exc)) from exc
-
-    def canon_part(part: str) -> str:
-        if not part:
-            return ""
-        try:
-            return ".".join(
-                sorted(canonical_from_string(m) for m in part.split("."))
-            )
-        except (SmilesError, GraphError) as exc:
-            raise InputError(str(exc)) from exc
-
-    return f"{canon_part(parts.reactants)}>{canon_part(parts.reagents)}>"
 
 
 def cmd_tokenize(args) -> int:

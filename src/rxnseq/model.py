@@ -6,6 +6,10 @@ to output-vocabulary logits.  Everything — forward, backpropagation through
 time, SGD with global-norm clipping, greedy decoding, checkpointing — is
 implemented directly on numpy arrays so gradients can be audited against
 finite differences.
+
+Each GRU layer is held as three packed arrays, w (in, 3h), u (h, 3h) and
+b (3h,), with the z, r and h gate blocks side by side, so a step is three
+matrix products.  RXS2 checkpoints still store nine per-gate tensors per layer.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .pipeline import (
     GO_ID,
     PAD_ID,
     BucketSpec,
+    BucketSpecError,
     EncodedExample,
     batch_iter,
 )
@@ -90,20 +95,22 @@ class ModelConfig:
 
 @dataclass
 class GruLayerParams:
-    w_z: np.ndarray
-    u_z: np.ndarray
-    b_z: np.ndarray
-    w_r: np.ndarray
-    u_r: np.ndarray
-    b_r: np.ndarray
-    w_h: np.ndarray
-    u_h: np.ndarray
-    b_h: np.ndarray
+    """One GRU layer with its gate blocks side by side in z, r, h column order:
+    w (in, 3h), u (h, 3h), b (3h,)."""
 
-    GATE_NAMES = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
 
-    def named(self, prefix: str) -> list[tuple[str, np.ndarray]]:
-        return [(f"{prefix}.{n}", getattr(self, n)) for n in self.GATE_NAMES]
+
+def _gate_blocks(layer: GruLayerParams) -> list[tuple[str, np.ndarray]]:
+    """The nine per-gate views into a layer's packed arrays, in checkpoint order."""
+    n = layer.u.shape[0]
+    return [
+        (f"{kind}_{gate}", arr[..., k * n : (k + 1) * n])
+        for k, gate in enumerate("zrh")
+        for kind, arr in (("w", layer.w), ("u", layer.u), ("b", layer.b))
+    ]
 
 
 @dataclass
@@ -119,26 +126,36 @@ class ModelParams:
     out_b: np.ndarray
 
     def named(self) -> list[tuple[str, np.ndarray]]:
-        """All tensors in a stable order; the checkpoint and update loops key on it."""
-        out = [("enc_embed", self.enc_embed), ("dec_embed", self.dec_embed)]
-        for i, layer in enumerate(self.enc_layers):
-            out.extend(layer.named(f"enc.{i}"))
-        for i, layer in enumerate(self.dec_layers):
-            out.extend(layer.named(f"dec.{i}"))
-        out.extend(
-            [
-                ("attn_q", self.attn_q),
-                ("attn_m", self.attn_m),
-                ("attn_v", self.attn_v),
-                ("out_w", self.out_w),
-                ("out_b", self.out_b),
-            ]
+        """All tensors in a stable order; the update loops key on it."""
+        return _named(
+            self, lambda layer: [("w", layer.w), ("u", layer.u), ("b", layer.b)]
         )
-        return out
 
     @property
     def dtype(self) -> np.dtype:
         return self.enc_embed.dtype
+
+
+def _named(params: ModelParams, layer_tensors) -> list[tuple[str, np.ndarray]]:
+    out = [("enc_embed", params.enc_embed), ("dec_embed", params.dec_embed)]
+    for side, layers in (("enc", params.enc_layers), ("dec", params.dec_layers)):
+        for i, layer in enumerate(layers):
+            out.extend((f"{side}.{i}.{n}", arr) for n, arr in layer_tensors(layer))
+    out.extend(
+        [
+            ("attn_q", params.attn_q),
+            ("attn_m", params.attn_m),
+            ("attn_v", params.attn_v),
+            ("out_w", params.out_w),
+            ("out_b", params.out_b),
+        ]
+    )
+    return out
+
+
+def _checkpoint_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """The checkpoint's tensors in file order, GRU layers split per gate."""
+    return _named(params, _gate_blocks)
 
 
 @dataclass
@@ -147,90 +164,42 @@ class Model:
     params: ModelParams
 
 
-def _tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+def zero_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
     e, h = config.embedding_dim, config.hidden_dim
-    shapes: list[tuple[str, tuple[int, ...]]] = [
-        ("enc_embed", (config.input_vocab_size, e)),
-        ("dec_embed", (config.output_vocab_size, e)),
-    ]
 
-    def gru(prefix: str, input_dim: int):
-        for gate in ("z", "r", "h"):
-            shapes.append((f"{prefix}.w_{gate}", (input_dim, h)))
-            shapes.append((f"{prefix}.u_{gate}", (h, h)))
-            shapes.append((f"{prefix}.b_{gate}", (h,)))
-
-    for i in range(config.num_layers):
-        gru(f"enc.{i}", e if i == 0 else h)
-    for i in range(config.num_layers):
-        # First decoder layer sees [token embedding; attention context].
-        gru(f"dec.{i}", e + h if i == 0 else h)
-    shapes.extend(
-        [
-            ("attn_q", (h, h)),
-            ("attn_m", (h, h)),
-            ("attn_v", (h,)),
-            ("out_w", (2 * h, config.output_vocab_size)),
-            ("out_b", (config.output_vocab_size,)),
-        ]
-    )
-    return shapes
-
-
-def _params_from_tensors(
-    config: ModelConfig, tensors: dict[str, np.ndarray]
-) -> ModelParams:
-    def gru(prefix: str) -> GruLayerParams:
+    def gru(input_dim: int) -> GruLayerParams:
         return GruLayerParams(
-            **{n: tensors[f"{prefix}.{n}"] for n in GruLayerParams.GATE_NAMES}
+            w=np.zeros((input_dim, 3 * h), dtype),
+            u=np.zeros((h, 3 * h), dtype),
+            b=np.zeros(3 * h, dtype),
         )
 
+    layers = range(config.num_layers)
     return ModelParams(
-        enc_embed=tensors["enc_embed"],
-        dec_embed=tensors["dec_embed"],
-        enc_layers=[gru(f"enc.{i}") for i in range(config.num_layers)],
-        dec_layers=[gru(f"dec.{i}") for i in range(config.num_layers)],
-        attn_q=tensors["attn_q"],
-        attn_m=tensors["attn_m"],
-        attn_v=tensors["attn_v"],
-        out_w=tensors["out_w"],
-        out_b=tensors["out_b"],
+        enc_embed=np.zeros((config.input_vocab_size, e), dtype),
+        dec_embed=np.zeros((config.output_vocab_size, e), dtype),
+        enc_layers=[gru(e if i == 0 else h) for i in layers],
+        # First decoder layer sees [token embedding; attention context].
+        dec_layers=[gru(e + h if i == 0 else h) for i in layers],
+        attn_q=np.zeros((h, h), dtype),
+        attn_m=np.zeros((h, h), dtype),
+        attn_v=np.zeros(h, dtype),
+        out_w=np.zeros((2 * h, config.output_vocab_size), dtype),
+        out_b=np.zeros(config.output_vocab_size, dtype),
     )
 
 
 def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
-    """Uniform init in [-INIT_SCALE, INIT_SCALE], drawn in named-tensor order."""
+    """Uniform init in [-INIT_SCALE, INIT_SCALE], drawn in checkpoint-tensor order."""
     rng = np.random.default_rng(config.seed)
-    tensors = {
-        name: rng.uniform(-INIT_SCALE, INIT_SCALE, shape).astype(dtype)
-        for name, shape in _tensor_shapes(config)
-    }
-    return _params_from_tensors(config, tensors)
+    params = zero_params(config, dtype)
+    for _, arr in _checkpoint_tensors(params):
+        arr[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, arr.shape)
+    return params
 
 
 def init_model(config: ModelConfig, dtype=np.float32) -> Model:
     return Model(config, init_params(config, dtype))
-
-
-def zero_like_params(params: ModelParams) -> ModelParams:
-    tensors = {name: np.zeros_like(arr) for name, arr in params.named()}
-
-    def gru(prefix: str) -> GruLayerParams:
-        return GruLayerParams(
-            **{n: tensors[f"{prefix}.{n}"] for n in GruLayerParams.GATE_NAMES}
-        )
-
-    return ModelParams(
-        enc_embed=tensors["enc_embed"],
-        dec_embed=tensors["dec_embed"],
-        enc_layers=[gru(f"enc.{i}") for i in range(len(params.enc_layers))],
-        dec_layers=[gru(f"dec.{i}") for i in range(len(params.dec_layers))],
-        attn_q=tensors["attn_q"],
-        attn_m=tensors["attn_m"],
-        attn_v=tensors["attn_v"],
-        out_w=tensors["out_w"],
-        out_b=tensors["out_b"],
-    )
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -248,53 +217,60 @@ def gru_cell_step(layer: GruLayerParams, x: np.ndarray, h: np.ndarray) -> np.nda
     """One GRU update h' = (1-z)*h + z*tanh(W_h x + U_h (r*h) + b_h)."""
     x = np.asarray(x)
     h = np.asarray(h)
-    if x.shape[-1] != layer.w_z.shape[0] or h.shape[-1] != layer.u_z.shape[0]:
+    if x.shape[-1] != layer.w.shape[0] or h.shape[-1] != layer.u.shape[0]:
         raise DimensionMismatch(
             f"gru step got x width {x.shape[-1]}, h width {h.shape[-1]}; "
-            f"expected {layer.w_z.shape[0]} and {layer.u_z.shape[0]}"
+            f"expected {layer.w.shape[0]} and {layer.u.shape[0]}"
         )
     h_new, _ = _gru_forward(layer, np.atleast_2d(x), np.atleast_2d(h))
     return h_new[0] if x.ndim == 1 else h_new
 
 
 def _gru_forward(layer: GruLayerParams, x: np.ndarray, h: np.ndarray):
-    z = _sigmoid(x @ layer.w_z + h @ layer.u_z + layer.b_z)
-    r = _sigmoid(x @ layer.w_r + h @ layer.u_r + layer.b_r)
-    ht = np.tanh(x @ layer.w_h + (r * h) @ layer.u_h + layer.b_h)
+    n = h.shape[1]
+    xw = x @ layer.w
+    zr = _sigmoid(xw[:, : 2 * n] + h @ layer.u[:, : 2 * n] + layer.b[: 2 * n])
+    z, r = zr[:, :n], zr[:, n:]
+    ht = np.tanh(xw[:, 2 * n :] + (r * h) @ layer.u[:, 2 * n :] + layer.b[2 * n :])
     h_new = (1.0 - z) * h + z * ht
     return h_new, (x, h, z, r, ht)
 
 
 def _gru_backward(layer: GruLayerParams, grad: GruLayerParams, cache, dh_new):
     x, h, z, r, ht = cache
-    dht = dh_new * z
-    dz = dh_new * (ht - h)
-    dh = dh_new * (1.0 - z)
+    n = h.shape[1]
+    w_z, w_r, w_h = (layer.w[:, k * n : (k + 1) * n] for k in range(3))
+    u_z, u_r, u_h = (layer.u[:, k * n : (k + 1) * n] for k in range(3))
+    da_h = dh_new * z * (1.0 - ht * ht)
+    drh = da_h @ u_h.T
+    da_z = dh_new * (ht - h) * z * (1.0 - z)
+    da_r = drh * h * r * (1.0 - r)
+    da = np.concatenate([da_z, da_r, da_h], axis=1)
 
-    da_h = dht * (1.0 - ht * ht)
-    rh = r * h
-    grad.w_h += x.T @ da_h
-    grad.u_h += rh.T @ da_h
-    grad.b_h += da_h.sum(axis=0)
-    drh = da_h @ layer.u_h.T
-    dr = drh * h
-    dh += drh * r
-    dx = da_h @ layer.w_h.T
-
-    da_z = dz * z * (1.0 - z)
-    grad.w_z += x.T @ da_z
-    grad.u_z += h.T @ da_z
-    grad.b_z += da_z.sum(axis=0)
-    dx += da_z @ layer.w_z.T
-    dh += da_z @ layer.u_z.T
-
-    da_r = dr * r * (1.0 - r)
-    grad.w_r += x.T @ da_r
-    grad.u_r += h.T @ da_r
-    grad.b_r += da_r.sum(axis=0)
-    dx += da_r @ layer.w_r.T
-    dh += da_r @ layer.u_r.T
+    grad.w += x.T @ da
+    grad.u[:, : 2 * n] += h.T @ da[:, : 2 * n]
+    grad.u[:, 2 * n :] += (r * h).T @ da_h
+    grad.b += da.sum(axis=0)
+    # dx and dh sum one product per gate, h then z then r.  A single packed
+    # product adds in another order, and that roundoff alone changes where
+    # pinned-seed training runs end up.
+    dx = da_h @ w_h.T + da_z @ w_z.T + da_r @ w_r.T
+    dh = dh_new * (1.0 - z) + drh * r + da_z @ u_z.T + da_r @ u_r.T
     return dx, dh
+
+
+def _stack_backward(layers, grads, caches, dh_carry, dabove):
+    """Backpropagate one time step down a GRU stack, top layer first.
+
+    dh_carry holds each layer's gradient flowing back from the next step and
+    is replaced in place by the gradient for the previous step; returns the
+    gradient with respect to the bottom layer's input.
+    """
+    for l in reversed(range(len(layers))):
+        dabove, dh_carry[l] = _gru_backward(
+            layers[l], grads[l], caches[l], dh_carry[l] + dabove
+        )
+    return dabove
 
 
 def _check_ids(ids: np.ndarray, vocab_size: int, side: str) -> None:
@@ -398,6 +374,22 @@ def attention(
     return context, AttentionRecord(scores=e, weights=w)
 
 
+def _decoder_step(params: ModelParams, ids, stack, memory, ma):
+    """Attention on the incoming top state, then [embedding; context] through
+    the GRU stack and the output projection of [new top state; context]."""
+    context, e, w, att_cache = _attention_forward(params, stack[-1], memory, ma)
+    x = np.concatenate([params.dec_embed[ids], context], axis=1)
+    new_stack = []
+    cell_caches = []
+    for layer, h in zip(params.dec_layers, stack):
+        x, cache = _gru_forward(layer, x, h)
+        new_stack.append(x)
+        cell_caches.append(cache)
+    feat = np.concatenate([x, context], axis=1)
+    logits = feat @ params.out_w + params.out_b
+    return logits, new_stack, e, w, (att_cache, cell_caches, feat)
+
+
 def decode_step(
     model: Model,
     prev_token_id,
@@ -417,16 +409,9 @@ def decode_step(
         raise DimensionMismatch(
             f"hidden stack has {len(stack)} layers, expected {config.num_layers}"
         )
-    ma = memory @ params.attn_m
-    context, e, w, _ = _attention_forward(params, stack[-1], memory, ma)
-    x = np.concatenate([params.dec_embed[ids], context], axis=1)
-    new_stack = []
-    for layer, h in zip(params.dec_layers, stack):
-        h_new, _ = _gru_forward(layer, x, h)
-        new_stack.append(h_new)
-        x = h_new
-    feat = np.concatenate([new_stack[-1], context], axis=1)
-    logits = feat @ params.out_w + params.out_b
+    logits, new_stack, e, w, _ = _decoder_step(
+        params, ids, stack, memory, memory @ params.attn_m
+    )
     if single:
         return (
             logits[0],
@@ -440,7 +425,7 @@ def _teacher_forced(model: Model, enc_ids: np.ndarray, dec_ids: np.ndarray):
     """Forward pass with caches; returns everything backward needs."""
     params, config = model.params, model.config
     _check_ids(dec_ids, config.output_vocab_size, "decoder")
-    memory, finals, enc_caches = _encode_forward(model, enc_ids)
+    memory, stack, enc_caches = _encode_forward(model, enc_ids)
     inputs = dec_ids[:, :-1]
     targets = dec_ids[:, 1:]
     mask = targets != PAD_ID
@@ -452,27 +437,16 @@ def _teacher_forced(model: Model, enc_ids: np.ndarray, dec_ids: np.ndarray):
     mask = mask[:, :steps]
 
     ma = memory @ params.attn_m
-    stack = [h.copy() for h in finals]
     batch = enc_ids.shape[0]
     logits = np.empty(
         (batch, steps, config.output_vocab_size), dtype=params.dtype
     )
     step_caches = []
     for t in range(steps):
-        query = stack[-1]
-        context, _, _, att_cache = _attention_forward(params, query, memory, ma)
-        x = np.concatenate([params.dec_embed[inputs[:, t]], context], axis=1)
-        cell_caches = []
-        new_stack = []
-        for layer, h in zip(params.dec_layers, stack):
-            h_new, cache = _gru_forward(layer, x, h)
-            cell_caches.append(cache)
-            new_stack.append(h_new)
-            x = h_new
-        stack = new_stack
-        feat = np.concatenate([stack[-1], context], axis=1)
-        logits[:, t] = feat @ params.out_w + params.out_b
-        step_caches.append((att_cache, cell_caches, feat))
+        logits[:, t], stack, _, _, step_cache = _decoder_step(
+            params, inputs[:, t], stack, memory, ma
+        )
+        step_caches.append(step_cache)
 
     shifted = logits - logits.max(axis=2, keepdims=True)
     exp = np.exp(shifted)
@@ -509,7 +483,7 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
     enc = np.asarray(enc_ids, dtype=np.int64)
     dec = np.asarray(dec_ids, dtype=np.int64)
     loss, cache = _teacher_forced(model, enc, dec)
-    grad = zero_like_params(params)
+    grad = zero_params(config, params.dtype)
 
     memory = cache["memory"]
     probs = cache["probs"]
@@ -528,7 +502,6 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
     )
     dlogits *= (mask / cache["n_tokens"])[:, :, None]
 
-    layer_grads = grad.dec_layers
     dh_carry = [np.zeros_like(memory[:, 0]) for _ in range(config.num_layers)]
     dmem = np.zeros_like(memory)
     dma_total = np.zeros_like(memory)
@@ -539,17 +512,15 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
         grad.out_b += dl.sum(axis=0)
         dfeat = dl @ params.out_w.T
         dcontext = dfeat[:, hidden:].copy()
-        dabove = dfeat[:, :hidden]
-        for l in reversed(range(config.num_layers)):
-            dh_out = dh_carry[l] + dabove
-            dx, dh_prev = _gru_backward(
-                params.dec_layers[l], layer_grads[l], cell_caches[l], dh_out
-            )
-            dh_carry[l] = dh_prev
-            dabove = dx
-        demb = dabove[:, : config.embedding_dim]
-        dcontext += dabove[:, config.embedding_dim :]
-        np.add.at(grad.dec_embed, inputs[:, t], demb)
+        dx = _stack_backward(
+            params.dec_layers,
+            grad.dec_layers,
+            cell_caches,
+            dh_carry,
+            dfeat[:, :hidden],
+        )
+        dcontext += dx[:, config.embedding_dim :]
+        np.add.at(grad.dec_embed, inputs[:, t], dx[:, : config.embedding_dim])
         dquery, dmem_step, dma = _attention_backward(
             params, grad, att_cache, dcontext, memory
         )
@@ -560,22 +531,19 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
     grad.attn_m += np.einsum("bth,btk->hk", memory, dma_total)
     dmem += dma_total @ params.attn_m.T
 
-    enc_grads = grad.enc_layers
     enc_caches = cache["enc_caches"]
     length = memory.shape[1]
     dx_embed = np.zeros(
         (enc.shape[0], length, config.embedding_dim), dtype=params.dtype
     )
     for t in reversed(range(length)):
-        dabove = dmem[:, t]
-        for l in reversed(range(config.num_layers)):
-            dh_out = dh_carry[l] + dabove
-            dx, dh_prev = _gru_backward(
-                params.enc_layers[l], enc_grads[l], enc_caches[l][t], dh_out
-            )
-            dh_carry[l] = dh_prev
-            dabove = dx
-        dx_embed[:, t] = dabove
+        dx_embed[:, t] = _stack_backward(
+            params.enc_layers,
+            grad.enc_layers,
+            [layer_caches[t] for layer_caches in enc_caches],
+            dh_carry,
+            dmem[:, t],
+        )
     np.add.at(grad.enc_embed, enc, dx_embed)
     return loss, grad
 
@@ -703,6 +671,8 @@ def predict(model: Model, encoder_ids, max_len: int | None = None) -> list[int]:
 # magic "RXS2" | u32 version | u32 config length + key=value lines |
 # u32 tensor count | per tensor: u32 name length, name bytes, u32 rank,
 # u32 dims..., row-major little-endian float32 payload.
+# Each GRU layer is written as nine per-gate tensors (w_z, u_z, b_z, w_r, ...),
+# cut from and pasted back into the packed w/u/b blocks held in memory.
 
 CHECKPOINT_MAGIC = b"RXS2"
 CHECKPOINT_VERSION = 1
@@ -718,14 +688,14 @@ def _config_to_text(config: ModelConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_from_text(text: str) -> ModelConfig:
+def _config_from_bytes(block: bytes) -> ModelConfig:
     values: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line:
-            continue
-        key, _, raw = line.partition("=")
-        values[key] = raw
     try:
+        for line in block.decode("utf-8").splitlines():
+            if not line:
+                continue
+            key, _, raw = line.partition("=")
+            values[key] = raw
         return ModelConfig(
             input_vocab_size=int(values["input_vocab_size"]),
             output_vocab_size=int(values["output_vocab_size"]),
@@ -737,7 +707,7 @@ def _config_from_text(text: str) -> ModelConfig:
             gradient_clip_norm=float(values["gradient_clip_norm"]),
             seed=int(values["seed"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, BucketSpecError) as exc:
         raise ConfigMismatch(f"bad config block: {exc}") from exc
 
 
@@ -748,9 +718,9 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     config_bytes = _config_to_text(model.config).encode("utf-8")
     buf += struct.pack("<I", len(config_bytes))
     buf += config_bytes
-    named = model.params.named()
-    buf += struct.pack("<I", len(named))
-    for name, arr in named:
+    tensors = _checkpoint_tensors(model.params)
+    buf += struct.pack("<I", len(tensors))
+    for name, arr in tensors:
         name_bytes = name.encode("utf-8")
         data = np.ascontiguousarray(arr, dtype="<f4")
         buf += struct.pack("<I", len(name_bytes))
@@ -790,27 +760,35 @@ def load_checkpoint(
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise VersionMismatch(f"unsupported checkpoint version {version}")
-    config = _config_from_text(reader.take(reader.u32()).decode("utf-8"))
+    config = _config_from_bytes(reader.take(reader.u32()))
     if expected is not None and expected != config:
         raise ConfigMismatch(
             f"checkpoint config {config} does not match expected {expected}"
         )
-    tensors: dict[str, np.ndarray] = {}
+    try:
+        params = zero_params(config, dtype)
+    except MemoryError as exc:
+        raise ConfigMismatch(f"config block implies tensors too large: {exc}") from exc
+    slots = dict(_checkpoint_tensors(params))
     for _ in range(reader.u32()):
-        name = reader.take(reader.u32()).decode("utf-8")
+        try:
+            name = reader.take(reader.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigMismatch(f"tensor name is not UTF-8: {exc}") from exc
         rank = reader.u32()
         shape = tuple(reader.u32() for _ in range(rank))
         count = int(np.prod(shape)) if shape else 1
         raw = reader.take(count * 4)
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
+        slot = slots.pop(name, None)
+        if slot is None:
+            raise ConfigMismatch(f"tensor {name!r} is unknown or repeated")
+        if slot.shape != shape:
+            raise ConfigMismatch(
+                f"tensor {name} has shape {shape}, config implies {slot.shape}"
+            )
+        slot[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
     if reader.pos != len(reader.data):
         raise ConfigMismatch("trailing bytes after final tensor")
-    expected_shapes = dict(_tensor_shapes(config))
-    if set(tensors) != set(expected_shapes):
-        raise ConfigMismatch("tensor names do not match the config block")
-    for name, arr in tensors.items():
-        if arr.shape != expected_shapes[name]:
-            raise ConfigMismatch(
-                f"tensor {name} has shape {arr.shape}, config implies {expected_shapes[name]}"
-            )
-    return Model(config, _params_from_tensors(config, tensors))
+    if slots:
+        raise ConfigMismatch(f"checkpoint lacks tensors {sorted(slots)}")
+    return Model(config, params)

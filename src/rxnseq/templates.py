@@ -477,12 +477,6 @@ class ReactionRecord:
         )
 
 
-def _canonical_parts(smiles: str) -> list[str]:
-    g = parse_string(smiles)
-    rendered = canonical_smiles(g)
-    return rendered.split(".") if rendered else []
-
-
 def _edit_substrate(
     substrate: MolGraph, template: ReactionTemplate, embedding: dict[int, int]
 ) -> tuple[MolGraph, list[int], list[int]]:
@@ -598,11 +592,14 @@ def apply_template(
     )
 
     reactants = sorted(
-        _canonical_parts_graph(substrate)
-        + [part for smiles in template.coreactants for part in _canonical_parts(smiles)]
+        part
+        for g in [substrate, *map(parse_string, template.coreactants)]
+        for part in _canonical_parts_graph(g)
     )
     reagents = sorted(
-        part for smiles in template.reagents for part in _canonical_parts(smiles)
+        part
+        for g in map(parse_string, template.reagents)
+        for part in _canonical_parts_graph(g)
     )
     return [
         ReactionRecord(

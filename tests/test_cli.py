@@ -6,6 +6,7 @@ and files, matching how the installed entry point behaves.
 
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -37,6 +38,14 @@ def trained(tmp_path_factory):
     )
     assert code == 0
     return root, data, checkpoint
+
+
+def copy_checkpoint(checkpoint, directory):
+    """Copy a checkpoint and its two vocabulary sidecars for corrupting."""
+    copy = directory / checkpoint.name
+    for suffix in ("", ".input-vocab", ".output-vocab"):
+        shutil.copy(f"{checkpoint}{suffix}", f"{copy}{suffix}")
+    return copy
 
 
 class TestSmallCommands:
@@ -348,6 +357,37 @@ class TestPredict:
         )
         assert code == 1
         assert "bucket" in capsys.readouterr().err
+
+    def test_empty_molecule_is_input_error(self, trained, capsys):
+        _, _, checkpoint = trained
+        code = main(["predict", "--checkpoint", str(checkpoint), "--input", "C..C>>"])
+        assert code == 1
+        assert "empty molecule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new", [(b"buckets=12:8", b"buckets=12;8"), (b"seed=7", b"seed=\xff")]
+    )
+    def test_corrupt_config_block_is_input_error(
+        self, trained, tmp_path, capsys, old, new
+    ):
+        _, _, checkpoint = trained
+        copy = copy_checkpoint(checkpoint, tmp_path)
+        copy.write_bytes(copy.read_bytes().replace(old, new))
+        code = main(["predict", "--checkpoint", str(copy), "--input", "C=C.Cl>>"])
+        assert code == 1
+        assert "bad config block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", [".input-vocab", ".output-vocab"])
+    def test_vocab_sidecar_of_wrong_size_is_input_error(
+        self, trained, tmp_path, capsys, suffix
+    ):
+        _, _, checkpoint = trained
+        copy = copy_checkpoint(checkpoint, tmp_path)
+        sidecar = tmp_path / f"{copy.name}{suffix}"
+        sidecar.write_text("".join(sidecar.read_text().splitlines(keepends=True)[:2]))
+        code = main(["predict", "--checkpoint", str(copy), "--input", "C=C.Cl>>"])
+        assert code == 1
+        assert "the checkpoint expects" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         code = main(

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -89,27 +91,30 @@ class TestConfig:
 
 def reference_gru(layer, x, h):
     """Element-by-element transcription of the gate formulas."""
-    input_dim, hidden = layer.w_z.shape
+    input_dim, hidden = layer.w.shape[0], layer.u.shape[0]
+    w_z, w_r, w_h = np.split(layer.w, 3, axis=1)
+    u_z, u_r, u_h = np.split(layer.u, 3, axis=1)
+    b_z, b_r, b_h = np.split(layer.b, 3)
     z = np.zeros(hidden)
     r = np.zeros(hidden)
     for j in range(hidden):
-        a_z = layer.b_z[j]
-        a_r = layer.b_r[j]
+        a_z = b_z[j]
+        a_r = b_r[j]
         for i in range(input_dim):
-            a_z += x[i] * layer.w_z[i, j]
-            a_r += x[i] * layer.w_r[i, j]
+            a_z += x[i] * w_z[i, j]
+            a_r += x[i] * w_r[i, j]
         for k in range(hidden):
-            a_z += h[k] * layer.u_z[k, j]
-            a_r += h[k] * layer.u_r[k, j]
+            a_z += h[k] * u_z[k, j]
+            a_r += h[k] * u_r[k, j]
         z[j] = 1.0 / (1.0 + math.exp(-a_z))
         r[j] = 1.0 / (1.0 + math.exp(-a_r))
     out = np.zeros(hidden)
     for j in range(hidden):
-        a_h = layer.b_h[j]
+        a_h = b_h[j]
         for i in range(input_dim):
-            a_h += x[i] * layer.w_h[i, j]
+            a_h += x[i] * w_h[i, j]
         for k in range(hidden):
-            a_h += r[k] * h[k] * layer.u_h[k, j]
+            a_h += r[k] * h[k] * u_h[k, j]
         out[j] = (1.0 - z[j]) * h[j] + z[j] * math.tanh(a_h)
     return out
 
@@ -131,7 +136,7 @@ class TestGruCell:
         rng = np.random.default_rng(7)
         params = init_params(tiny_config(seed=21), dtype=np.float64)
         for layer in (params.enc_layers[0], params.enc_layers[2], params.dec_layers[1]):
-            input_dim = layer.w_z.shape[0]
+            input_dim = layer.w.shape[0]
             for _ in range(10):
                 x = rng.normal(size=input_dim)
                 h = rng.normal(size=5)
@@ -241,6 +246,22 @@ class TestDecodeStep:
         memory, finals = encode(built, np.zeros(7, dtype=np.int64))
         with pytest.raises(DimensionMismatch):
             decode_step(built, GO_ID, finals[:2], memory)
+
+    def test_fed_reference_prefix_reproduces_teacher_forced_loss(self):
+        built = init_model(tiny_config(seed=8), dtype=np.float64)
+        enc, dec = tiny_batch()
+        for row in range(len(enc)):
+            memory, stack = encode(built, enc[row])
+            targets = [t for t in dec[row, 1:] if t != PAD_ID]
+            prev = GO_ID
+            picked = []
+            for target in targets:
+                logits, stack, _ = decode_step(built, prev, stack, memory)
+                shifted = logits - logits.max()
+                picked.append(shifted[target] - np.log(np.exp(shifted).sum()))
+                prev = target
+            expected = batch_loss(built, enc[row : row + 1], dec[row : row + 1])
+            assert abs(-np.mean(picked) - expected) < 1e-6
 
 
 class TestLoss:
@@ -380,6 +401,16 @@ class TestCheckpoint:
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
 
+    def test_init_checkpoint_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "model.rxs2"
+        save_checkpoint(init_model(tiny_config(seed=23)), path)
+        data = path.read_bytes()
+        assert len(data) == 6614
+        assert (
+            hashlib.sha256(data).hexdigest()
+            == "c3a1e9e16b2cb1135dcedf126b675b50c77489bb292ae9844200350d808002ae"
+        )
+
     def test_save_deterministic_bytes(self, tmp_path):
         built = init_model(tiny_config(seed=23))
         p1, p2 = tmp_path / "a.rxs2", tmp_path / "b.rxs2"
@@ -429,5 +460,36 @@ class TestCheckpoint:
         path = tmp_path / "model.rxs2"
         save_checkpoint(built, path)
         path.write_bytes(path.read_bytes() + b"xx")
+        with pytest.raises(ConfigMismatch):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"buckets=7:8", b"buckets=7;8"),
+            (b"seed=11", b"seed=\xff1"),
+            (b"enc.0.w_z", b"enc.0.w_\xff"),
+        ],
+        ids=["bad-buckets", "config-not-utf8", "name-not-utf8"],
+    )
+    def test_corrupt_text_is_config_mismatch(self, tmp_path, old, new):
+        path = tmp_path / "model.rxs2"
+        save_checkpoint(init_model(tiny_config()), path)
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+        with pytest.raises(ConfigMismatch):
+            load_checkpoint(path)
+
+    def test_oversized_config_is_config_mismatch(self, tmp_path):
+        path = tmp_path / "model.rxs2"
+        save_checkpoint(init_model(tiny_config()), path)
+        data = path.read_bytes()
+        (length,) = struct.unpack("<I", data[8:12])
+        config = data[12 : 12 + length].replace(
+            b"input_vocab_size=8", b"input_vocab_size=80000000000"
+        )
+        rest = data[12 + length :]
+        path.write_bytes(data[:8] + struct.pack("<I", len(config)) + config + rest)
         with pytest.raises(ConfigMismatch):
             load_checkpoint(path)
