@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 logger = logging.getLogger("rxnseq")
@@ -415,10 +416,19 @@ def cmd_eval(args) -> int:
 
     model, input_vocab, output_vocab = _load_model_and_vocabs(args.checkpoint)
     records = _normalized_records(args.data)
+    began = time.perf_counter()
     try:
         report = evaluate(model, records, input_vocab, output_vocab)
     except EmptyTestset as exc:
         raise InputError(str(exc)) from exc
+    seconds = time.perf_counter() - began
+    logger.info(
+        "evaluated %d records (%d skipped) in %.2f s, %.1f records/s",
+        report.n,
+        report.skipped,
+        seconds,
+        report.n / seconds,
+    )
     if args.report:
         write_report_csv(report, f"{args.report}.csv")
         write_report_json(report, f"{args.report}.json")

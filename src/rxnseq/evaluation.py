@@ -8,24 +8,33 @@ metrics, and exports attention matrices and embedding tables as CSV.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import Model, batch_loss, predict_with_attention
+# batch_loss stays importable here: it is the per-record reference for the
+# cross-entropies evaluate reports, and perfbench's traced run wraps it.
+from .model import Model, batch_loss, evaluate_batch, predict_with_attention  # noqa: F401
 from .molgraph import GraphError, canonical_from_string, morgan_fingerprint, parse_string, tanimoto
 from .pipeline import (
+    EncodedExample,
     TooLongForBuckets,
     Vocab,
     encode_example,
     encode_source,
     source_string,
     target_string,
+    write_atomic,
 )
 from .smiles import SmilesError
 from .templates import ReactionRecord
+
+
+# Rows per batch in evaluate; each batch is one encoder pass.
+EVAL_BATCH_SIZE = 32
 
 
 class EvaluationError(Exception):
@@ -115,11 +124,16 @@ def evaluate(
 ) -> EvalReport:
     """Strip products, decode greedily, score each record, average.
 
-    Records that fit no bucket are counted as skipped and excluded from n.
+    Records are encoded one by one; those that fit no bucket are counted as
+    skipped and excluded from n.  The rest are decoded per bucket in batches
+    of EVAL_BATCH_SIZE, one encoder pass per batch serving both the greedy
+    decode and the teacher-forced cross-entropy.  Predictions match predict on
+    each record, cross-entropies match batch_loss on each record alone to
+    float32 roundoff, and rows come back in record order.
     """
     if not records:
         raise EmptyTestset("no evaluation records")
-    rows: list[ExampleRow] = []
+    by_bucket: dict[int, list[tuple[int, EncodedExample]]] = {}
     skipped = 0
     for index, record in enumerate(records):
         try:
@@ -129,29 +143,38 @@ def evaluate(
         except TooLongForBuckets:
             skipped += 1
             continue
-        ids, _ = predict_with_attention(model, np.array(example.encoder_ids))
-        predicted = "".join(output_vocab.token_of(i) for i in ids)
-        reference = target_string(record)
-        score = score_prediction(predicted, reference)
-        cross_entropy = batch_loss(
-            model,
-            np.array([example.encoder_ids]),
-            np.array([example.decoder_ids]),
-        )
-        rows.append(
-            ExampleRow(
-                index=index,
-                source=source_string(record),
-                reference=reference,
-                predicted=predicted,
-                valid=score.valid,
-                exact=score.exact,
-                tanimoto=score.tanimoto,
-                cross_entropy=cross_entropy,
+        by_bucket.setdefault(example.bucket_index, []).append((index, example))
+    rows: list[ExampleRow] = []
+    for members in by_bucket.values():
+        for start in range(0, len(members), EVAL_BATCH_SIZE):
+            chunk = members[start : start + EVAL_BATCH_SIZE]
+            predictions, cross_entropies = evaluate_batch(
+                model,
+                np.array([example.encoder_ids for _, example in chunk]),
+                np.array([example.decoder_ids for _, example in chunk]),
             )
-        )
+            for (index, _), ids, cross_entropy in zip(
+                chunk, predictions, cross_entropies
+            ):
+                record = records[index]
+                predicted = "".join(output_vocab.token_of(i) for i in ids)
+                reference = target_string(record)
+                score = score_prediction(predicted, reference)
+                rows.append(
+                    ExampleRow(
+                        index=index,
+                        source=source_string(record),
+                        reference=reference,
+                        predicted=predicted,
+                        valid=score.valid,
+                        exact=score.exact,
+                        tanimoto=score.tanimoto,
+                        cross_entropy=float(cross_entropy),
+                    )
+                )
     if not rows:
         raise EmptyTestset(f"all {skipped} records exceeded the buckets")
+    rows.sort(key=lambda row: row.index)
     n = len(rows)
     return EvalReport(
         n=n,
@@ -169,40 +192,39 @@ def _fmt(value: float) -> str:
 
 
 def write_report_csv(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(
+        [
+            "index",
+            "source",
+            "reference",
+            "predicted",
+            "valid",
+            "exact",
+            "tanimoto",
+            "cross_entropy",
+        ]
+    )
+    for r in report.rows:
         writer.writerow(
             [
-                "index",
-                "source",
-                "reference",
-                "predicted",
-                "valid",
-                "exact",
-                "tanimoto",
-                "cross_entropy",
+                r.index,
+                r.source,
+                r.reference,
+                r.predicted,
+                int(r.valid),
+                int(r.exact),
+                _fmt(r.tanimoto),
+                _fmt(r.cross_entropy),
             ]
         )
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.index,
-                    r.source,
-                    r.reference,
-                    r.predicted,
-                    int(r.valid),
-                    int(r.exact),
-                    _fmt(r.tanimoto),
-                    _fmt(r.cross_entropy),
-                ]
-            )
+    write_atomic(path, buffer.getvalue().encode("utf-8"))
 
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.summary(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(report.summary(), indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 def export_attention(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .pipeline import (
     BucketSpecError,
     EncodedExample,
     batch_iter,
+    write_atomic,
 )
 
 INIT_SCALE = 0.08
@@ -278,7 +279,12 @@ def _check_ids(ids: np.ndarray, vocab_size: int, side: str) -> None:
         raise UnknownId(f"{side} id outside [0, {vocab_size})")
 
 
-def _encode_forward(model: Model, enc_ids: np.ndarray):
+def _encode_forward(model: Model, enc_ids: np.ndarray, caches: list | None = None):
+    """Run the encoder stack; returns (top-layer states, final hidden per layer).
+
+    When caches is a list (training), each layer's per-step BPTT caches are
+    appended to it; inference passes None and keeps none.
+    """
     params, config = model.params, model.config
     batch, length = enc_ids.shape
     if length not in {enc for enc, _ in config.buckets}:
@@ -288,7 +294,6 @@ def _encode_forward(model: Model, enc_ids: np.ndarray):
     _check_ids(enc_ids, config.input_vocab_size, "encoder")
     dtype = params.dtype
     layer_in = params.enc_embed[enc_ids]
-    caches = []
     finals = []
     for layer in params.enc_layers:
         h = np.zeros((batch, config.hidden_dim), dtype=dtype)
@@ -297,11 +302,13 @@ def _encode_forward(model: Model, enc_ids: np.ndarray):
         for t in range(length):
             h, cache = _gru_forward(layer, layer_in[:, t], h)
             outs[:, t] = h
-            layer_caches.append(cache)
-        caches.append(layer_caches)
+            if caches is not None:
+                layer_caches.append(cache)
+        if caches is not None:
+            caches.append(layer_caches)
         finals.append(h)
         layer_in = outs
-    return layer_in, finals, caches
+    return layer_in, finals
 
 
 def encode(model: Model, encoder_ids) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -314,7 +321,7 @@ def encode(model: Model, encoder_ids) -> tuple[np.ndarray, list[np.ndarray]]:
     single = ids.ndim == 1
     if single:
         ids = ids[None, :]
-    memory, finals, _ = _encode_forward(model, ids)
+    memory, finals = _encode_forward(model, ids)
     if single:
         return memory[0], [h[0] for h in finals]
     return memory, finals
@@ -421,11 +428,15 @@ def decode_step(
     return logits, new_stack, AttentionRecord(scores=e, weights=w)
 
 
-def _teacher_forced(model: Model, enc_ids: np.ndarray, dec_ids: np.ndarray):
-    """Forward pass with caches; returns everything backward needs."""
-    params, config = model.params, model.config
-    _check_ids(dec_ids, config.output_vocab_size, "decoder")
-    memory, stack, enc_caches = _encode_forward(model, enc_ids)
+def _teacher_forced(params: ModelParams, memory, ma, stack, dec_ids, step_caches=None):
+    """Decoder pass fed the reference, from an encoder pass (memory, its
+    attention keys ma = memory @ attn_m, final hidden stack).
+
+    Returns the mean cross-entropy per non-PAD target token, each row's mean
+    over its own target tokens, and the softmax pieces backward needs.  When
+    step_caches is a list (training), each step's BPTT caches are appended.
+    """
+    _check_ids(dec_ids, params.out_b.shape[0], "decoder")
     inputs = dec_ids[:, :-1]
     targets = dec_ids[:, 1:]
     mask = targets != PAD_ID
@@ -436,44 +447,46 @@ def _teacher_forced(model: Model, enc_ids: np.ndarray, dec_ids: np.ndarray):
     targets = targets[:, :steps]
     mask = mask[:, :steps]
 
-    ma = memory @ params.attn_m
-    batch = enc_ids.shape[0]
-    logits = np.empty(
-        (batch, steps, config.output_vocab_size), dtype=params.dtype
-    )
-    step_caches = []
+    batch = dec_ids.shape[0]
+    logits = np.empty((batch, steps, params.out_b.shape[0]), dtype=params.dtype)
     for t in range(steps):
         logits[:, t], stack, _, _, step_cache = _decoder_step(
             params, inputs[:, t], stack, memory, ma
         )
-        step_caches.append(step_cache)
+        if step_caches is not None:
+            step_caches.append(step_cache)
 
     shifted = logits - logits.max(axis=2, keepdims=True)
     exp = np.exp(shifted)
     denom = exp.sum(axis=2, keepdims=True)
     log_probs = shifted - np.log(denom)
     picked = np.take_along_axis(log_probs, targets[:, :, None], axis=2)[:, :, 0]
+    masked = picked * mask
     n_tokens = int(mask.sum())
-    loss = float(-(picked * mask).sum() / n_tokens)
-    probs = exp / denom
-    return loss, {
-        "memory": memory,
-        "enc_caches": enc_caches,
-        "step_caches": step_caches,
+    loss = float(-masked.sum() / n_tokens)
+    row_losses = -masked.sum(axis=1) / mask.sum(axis=1)
+    return loss, row_losses, {
         "inputs": inputs,
         "targets": targets,
         "mask": mask,
-        "probs": probs,
+        "exp": exp,
+        "denom": denom,
         "n_tokens": n_tokens,
-        "enc_ids": enc_ids,
     }
+
+
+def _encoder_pass(model: Model, enc_ids: np.ndarray, caches: list | None = None):
+    """(memory, final hidden stack, attention keys memory @ attn_m) for a batch."""
+    memory, stack = _encode_forward(model, enc_ids, caches)
+    return memory, stack, memory @ model.params.attn_m
 
 
 def batch_loss(model: Model, enc_ids, dec_ids) -> float:
     """Mean cross-entropy per non-PAD target token under teacher forcing."""
     enc = np.asarray(enc_ids, dtype=np.int64)
     dec = np.asarray(dec_ids, dtype=np.int64)
-    loss, _ = _teacher_forced(model, enc, dec)
+    memory, stack, ma = _encoder_pass(model, enc)
+    loss, _, _ = _teacher_forced(model.params, memory, ma, stack, dec)
     return loss
 
 
@@ -482,31 +495,32 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
     params, config = model.params, model.config
     enc = np.asarray(enc_ids, dtype=np.int64)
     dec = np.asarray(dec_ids, dtype=np.int64)
-    loss, cache = _teacher_forced(model, enc, dec)
+    enc_caches: list = []
+    step_caches: list = []
+    memory, stack, ma = _encoder_pass(model, enc, enc_caches)
+    loss, _, fwd = _teacher_forced(params, memory, ma, stack, dec, step_caches)
     grad = zero_params(config, params.dtype)
 
-    memory = cache["memory"]
-    probs = cache["probs"]
-    targets = cache["targets"]
-    mask = cache["mask"]
-    inputs = cache["inputs"]
+    targets = fwd["targets"]
+    mask = fwd["mask"]
+    inputs = fwd["inputs"]
     steps = targets.shape[1]
     hidden = config.hidden_dim
 
-    dlogits = probs.copy()
+    dlogits = fwd["exp"] / fwd["denom"]
     np.put_along_axis(
         dlogits,
         targets[:, :, None],
         np.take_along_axis(dlogits, targets[:, :, None], axis=2) - 1.0,
         axis=2,
     )
-    dlogits *= (mask / cache["n_tokens"])[:, :, None]
+    dlogits *= (mask / fwd["n_tokens"])[:, :, None]
 
     dh_carry = [np.zeros_like(memory[:, 0]) for _ in range(config.num_layers)]
     dmem = np.zeros_like(memory)
     dma_total = np.zeros_like(memory)
     for t in reversed(range(steps)):
-        att_cache, cell_caches, feat = cache["step_caches"][t]
+        att_cache, cell_caches, feat = step_caches[t]
         dl = dlogits[:, t]
         grad.out_w += feat.T @ dl
         grad.out_b += dl.sum(axis=0)
@@ -531,7 +545,6 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
     grad.attn_m += np.einsum("bth,btk->hk", memory, dma_total)
     dmem += dma_total @ params.attn_m.T
 
-    enc_caches = cache["enc_caches"]
     length = memory.shape[1]
     dx_embed = np.zeros(
         (enc.shape[0], length, config.embedding_dim), dtype=params.dtype
@@ -625,41 +638,85 @@ def fit(
     return log
 
 
+def _decode_limit(config: ModelConfig, enc_len: int, max_len: int | None) -> int:
+    """Greedy steps allowed for an encoder length: the first bucket of that
+    length sets it (GO occupies one decoder slot), max_len may lower it."""
+    for enc, dec in config.buckets:
+        if enc == enc_len:
+            return dec - 1 if max_len is None else min(dec - 1, max_len)
+    raise DimensionMismatch(f"encoder length {enc_len} matches no bucket")
+
+
+def _greedy(params: ModelParams, memory, ma, stack, limit: int):
+    """Greedy decoding from GO for a batch, until every row has emitted EOS or
+    limit steps have run.
+
+    Returns one entry per step: the ids emitted (batch,), the raw attention
+    scores and the attention weights (batch, length).  Rows that have already
+    emitted EOS keep stepping; callers read each row up to its first EOS.
+    """
+    prev = np.full(memory.shape[0], GO_ID, dtype=np.int64)
+    done = np.zeros(memory.shape[0], dtype=bool)
+    emitted, scores, weights = [], [], []
+    for _ in range(limit):
+        logits, stack, e, w, _ = _decoder_step(params, prev, stack, memory, ma)
+        prev = logits.argmax(axis=1)
+        emitted.append(prev)
+        scores.append(e)
+        weights.append(w)
+        done |= prev == EOS_ID
+        if done.all():
+            break
+    return emitted, scores, weights
+
+
+def _output_ids(tokens) -> list[int]:
+    """A row's emitted ids up to its first EOS, PAD and GO dropped."""
+    out: list[int] = []
+    for token in tokens:
+        if token == EOS_ID:
+            break
+        if token not in (PAD_ID, GO_ID):
+            out.append(int(token))
+    return out
+
+
 def predict_with_attention(
     model: Model, encoder_ids, max_len: int | None = None
 ) -> tuple[list[int], list[AttentionRecord]]:
     """Greedy decode from GO; returns emitted ids (specials excluded) and the
     per-step attention trace (the EOS step keeps its trace)."""
-    config = model.config
     ids = np.asarray(encoder_ids, dtype=np.int64)
     if ids.ndim != 1:
         raise DimensionMismatch("predict expects a single encoded sequence")
-    bucket_index = None
-    for i, (enc_len, _) in enumerate(config.buckets):
-        if enc_len == ids.shape[0]:
-            bucket_index = i
-            break
-    if bucket_index is None:
-        raise DimensionMismatch(
-            f"encoder length {ids.shape[0]} matches no bucket"
-        )
-    limit = config.buckets[bucket_index][1] - 1  # GO occupies one slot
-    if max_len is not None:
-        limit = min(limit, max_len)
-    memory, stack = encode(model, ids)
-    prev = GO_ID
-    out: list[int] = []
-    records: list[AttentionRecord] = []
-    for _ in range(limit):
-        logits, stack, record = decode_step(model, prev, stack, memory)
-        token = int(np.argmax(logits))
-        records.append(replace(record, token_id=token))
-        if token == EOS_ID:
-            break
-        if token not in (PAD_ID, GO_ID):
-            out.append(token)
-        prev = token
-    return out, records
+    limit = _decode_limit(model.config, ids.shape[0], max_len)
+    memory, stack, ma = _encoder_pass(model, ids[None, :])
+    emitted, scores, weights = _greedy(model.params, memory, ma, stack, limit)
+    tokens = [int(step[0]) for step in emitted]
+    records = [
+        AttentionRecord(scores=e[0], weights=w[0], token_id=token)
+        for token, e, w in zip(tokens, scores, weights)
+    ]
+    return _output_ids(tokens), records
+
+
+def evaluate_batch(
+    model: Model, enc_ids, dec_ids
+) -> tuple[list[list[int]], np.ndarray]:
+    """Greedy predictions and per-row teacher-forced cross-entropies for a
+    batch of one bucket, from one encoder pass.
+
+    Each prediction is what predict gives for that row; each cross-entropy is
+    batch_loss on that row alone, to float32 roundoff.
+    """
+    enc = np.asarray(enc_ids, dtype=np.int64)
+    dec = np.asarray(dec_ids, dtype=np.int64)
+    limit = _decode_limit(model.config, enc.shape[1], None)
+    memory, stack, ma = _encoder_pass(model, enc)
+    emitted, _, _ = _greedy(model.params, memory, ma, stack, limit)
+    _, row_losses, _ = _teacher_forced(model.params, memory, ma, stack, dec)
+    tokens = np.array(emitted, dtype=np.int64).reshape(len(emitted), len(enc)).T
+    return [_output_ids(row) for row in tokens], row_losses
 
 
 def predict(model: Model, encoder_ids, max_len: int | None = None) -> list[int]:
@@ -729,7 +786,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         for dim in data.shape:
             buf += struct.pack("<I", dim)
         buf += data.tobytes()
-    Path(path).write_bytes(bytes(buf))
+    write_atomic(path, bytes(buf))
 
 
 class _Reader:

@@ -9,6 +9,7 @@ seeded bucketed batching.
 from __future__ import annotations
 
 import logging
+import os
 import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -433,6 +434,18 @@ def split_records(
         order[n_train : n_train + n_valid],
         order[n_train + n_valid :],
     )
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write data to a temp file beside path, then rename it onto path, so a
+    killed writer leaves the old file or the new one, never a truncated one."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def write_reactions(records: Iterable[ReactionRecord], path: str | Path) -> None:

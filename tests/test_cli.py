@@ -6,6 +6,7 @@ and files, matching how the installed entry point behaves.
 
 import csv
 import json
+import logging
 import shutil
 
 import pytest
@@ -417,6 +418,33 @@ class TestEval:
         assert json.loads((tmp_path / "report.json").read_text()) == summary
         with open(tmp_path / "report.csv", newline="") as handle:
             assert len(list(csv.reader(handle))) == 4
+
+    def test_reports_are_byte_identical_and_timing_goes_to_the_log(
+        self, trained, tmp_path, capsys, caplog
+    ):
+        _, data, checkpoint = trained
+        outputs = []
+        for name in ("a", "b"):
+            argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(data)]
+            with caplog.at_level(logging.INFO, logger="rxnseq"):
+                assert main(argv + ["--report", str(tmp_path / name)]) == 0
+            outputs.append(
+                (
+                    capsys.readouterr().out,
+                    (tmp_path / f"{name}.csv").read_bytes(),
+                    (tmp_path / f"{name}.json").read_bytes(),
+                )
+            )
+        assert outputs[0] == outputs[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.csv", "a.json", "b.csv", "b.json"
+        ]
+        timings = [
+            r.getMessage() for r in caplog.records if r.getMessage().startswith("evaluated ")
+        ]
+        assert len(timings) == 2
+        assert timings[0].startswith("evaluated 3 records (0 skipped) in ")
+        assert timings[0].endswith(" records/s")
 
     def test_empty_testset_is_input_error(self, trained, tmp_path, capsys):
         _, _, checkpoint = trained

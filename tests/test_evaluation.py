@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from rxnseq import evaluation
 from rxnseq.evaluation import (
     EmptyTestset,
     EvalReport,
@@ -18,7 +19,7 @@ from rxnseq.evaluation import (
     write_report_csv,
     write_report_json,
 )
-from rxnseq.model import ModelConfig, fit, init_model
+from rxnseq.model import ModelConfig, batch_loss, fit, init_model, predict
 from rxnseq.pipeline import (
     BucketSpec,
     build_vocabs,
@@ -56,6 +57,42 @@ def memorized():
         encode_example(r, input_vocab, output_vocab, buckets) for r in records
     ]
     fit(model, examples, steps=800, batch_size=3, seed=3)
+    return model, records, input_vocab, output_vocab
+
+
+@functools.cache
+def two_buckets():
+    """A briefly trained model whose records fall into two buckets."""
+    records = [
+        normalize(parse_record(line))
+        for line in (
+            "C=C.Cl>>CCCl",
+            "CC(C)=C.Cl>>CC(C)(C)Cl",
+            "C=C.Br>>CCBr",
+            "CC=C(C)C.Br>>CCC(C)(C)Br",
+            "C=C.O>>CCO",
+            "CC(C)=C.O>>CC(C)(C)O",
+            "C=CC.Cl>>CC(C)Cl",
+        )
+    ]
+    input_vocab, output_vocab = build_vocabs(records)
+    buckets = BucketSpec(((8, 8), (12, 14)))
+    config = ModelConfig(
+        input_vocab_size=len(input_vocab),
+        output_vocab_size=len(output_vocab),
+        num_layers=2,
+        embedding_dim=12,
+        hidden_dim=24,
+        buckets=buckets,
+        learning_rate=1.0,
+        seed=4,
+    )
+    model = init_model(config)
+    examples = [
+        encode_example(r, input_vocab, output_vocab, buckets) for r in records
+    ]
+    assert {e.bucket_index for e in examples} == {0, 1}
+    fit(model, examples, steps=800, batch_size=3, seed=2)
     return model, records, input_vocab, output_vocab
 
 
@@ -196,6 +233,51 @@ class TestEvaluate:
         assert report.n == 3
         assert 0.0 <= report.invalid_ratio <= 1.0
         assert 0.0 <= report.mean_tanimoto <= 1.0
+
+
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("batch_size", [2, 32])
+    def test_rows_match_predict_and_batch_loss_per_record(
+        self, batch_size, monkeypatch
+    ):
+        monkeypatch.setattr(evaluation, "EVAL_BATCH_SIZE", batch_size)
+        model, records, input_vocab, output_vocab = two_buckets()
+        report = evaluate(model, records, input_vocab, output_vocab)
+        assert [row.index for row in report.rows] == list(range(len(records)))
+        for row, record in zip(report.rows, records):
+            example = encode_example(
+                record, input_vocab, output_vocab, model.config.buckets
+            )
+            ids = predict(model, np.array(example.encoder_ids))
+            assert row.predicted == "".join(output_vocab.token_of(i) for i in ids)
+            alone = batch_loss(
+                model, np.array([example.encoder_ids]), np.array([example.decoder_ids])
+            )
+            assert row.cross_entropy == pytest.approx(alone, rel=1e-5)
+
+    def test_record_order_does_not_change_rows(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "EVAL_BATCH_SIZE", 2)
+        model, records, input_vocab, output_vocab = two_buckets()
+        forward = evaluate(model, records, input_vocab, output_vocab)
+        backward = evaluate(model, records[::-1], input_vocab, output_vocab)
+        assert [row.index for row in backward.rows] == list(range(len(records)))
+        last = len(records) - 1
+        for row, mirrored in zip(forward.rows, reversed(backward.rows)):
+            assert mirrored.index == last - row.index
+            assert mirrored.source == row.source
+            assert mirrored.predicted == row.predicted
+            assert mirrored.cross_entropy == pytest.approx(row.cross_entropy, abs=1e-6)
+
+    def test_record_beyond_every_bucket_is_skipped(self):
+        model, records, input_vocab, output_vocab = two_buckets()
+        long_record = normalize(parse_record("C" * 20 + ".Cl>>CCCl"))
+        mixed = records[:3] + [long_record] + records[3:]
+        report = evaluate(model, mixed, input_vocab, output_vocab)
+        assert report.skipped == 1
+        assert report.n == len(records)
+        assert 3 not in {row.index for row in report.rows}
+        alone = evaluate(model, records, input_vocab, output_vocab)
+        assert [r.predicted for r in report.rows] == [r.predicted for r in alone.rows]
 
 
 class TestReportFiles:

@@ -384,6 +384,31 @@ class TestTraining:
             assert record.weights.shape == (16,)
             assert abs(record.weights.sum() - 1.0) < 1e-5
 
+    def test_predict_with_attention_is_the_decode_step_loop_bit_for_bit(self):
+        trained, example, *_ = overfit_single()
+        untrained = init_model(tiny_config(seed=2))  # emits GO until the limit
+        cases = [
+            (trained, np.array(example.encoder_ids)),
+            (untrained, np.array([0, 0, 5, 6, 7, 4, 4])),
+        ]
+        for built, enc in cases:
+            memory, stack = encode(built, enc)
+            prev, tokens, scores, weights = GO_ID, [], [], []
+            for _ in range(built.config.buckets[0][1] - 1):
+                logits, stack, record = decode_step(built, prev, stack, memory)
+                prev = int(np.argmax(logits))
+                tokens.append(prev)
+                scores.append(record.scores)
+                weights.append(record.weights)
+                if prev == EOS_ID:
+                    break
+            ids, records = predict_with_attention(built, enc)
+            assert ids == [t for t in tokens if t not in (PAD_ID, GO_ID, EOS_ID)]
+            assert [r.token_id for r in records] == tokens
+            for record, s, w in zip(records, scores, weights):
+                assert np.array_equal(record.scores, s)
+                assert np.array_equal(record.weights, w)
+
     def test_fit_deterministic(self):
         a = build_overfit_single()[4].losses
         b = overfit_single()[4].losses

@@ -26,6 +26,7 @@ from rxnseq.pipeline import (
     read_reactions,
     source_string,
     split_records,
+    write_atomic,
     write_reactions,
 )
 from rxnseq.templates import ReactionRecord, RecordSource
@@ -420,3 +421,23 @@ class TestSplitAndFiles:
         write_reactions(records, a)
         write_reactions(records, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_atomic_write_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents, longer than the new")
+        write_atomic(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_failed_atomic_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def killed(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline.os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            write_atomic(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
