@@ -3,7 +3,8 @@
 Exposes the pipeline end-to-end: tokenize, canon, fingerprint, gen,
 ingest, split, train, predict, eval, export-attention, export-embeddings.
 Diagnostics go to standard error; data goes to files or standard output.
-Exit status is 0 on success, 1 on input errors, 2 on internal errors.
+Exit status is 0 on success, 1 on input errors (an output path that cannot
+be written included), 2 on internal errors.
 """
 
 from __future__ import annotations
@@ -302,6 +303,9 @@ def cmd_train(args) -> int:
     )
 
     cfg = _effective(args)
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise InputError(f"output directory not found: {out_dir}")
     if cfg["steps"] < 1:
         raise InputError("--steps must be positive")
     if cfg["batch_size"] < 1:
@@ -565,7 +569,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help

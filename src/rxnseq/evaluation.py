@@ -15,10 +15,18 @@ from pathlib import Path
 
 import numpy as np
 
-# batch_loss stays importable here: it is the per-record reference for the
-# cross-entropies evaluate reports, and perfbench's traced run wraps it.
+# batch_loss and canonical_from_string stay importable here: perfbench's
+# traced run wraps them, and batch_loss is the per-record reference for the
+# cross-entropies evaluate reports.
 from .model import Model, batch_loss, evaluate_batch, predict_with_attention  # noqa: F401
-from .molgraph import GraphError, canonical_from_string, morgan_fingerprint, parse_string, tanimoto
+from .molgraph import (  # noqa: F401
+    GraphError,
+    canonical_from_string,
+    canonical_smiles,
+    morgan_fingerprint,
+    parse_string,
+    tanimoto,
+)
 from .pipeline import (
     EncodedExample,
     TooLongForBuckets,
@@ -66,14 +74,14 @@ def score_prediction(predicted: str, reference: str) -> PredictionScore:
         raise ReferenceInvalid("reference is empty")
     try:
         ref_graph = parse_string(reference)
-        ref_canonical = canonical_from_string(reference)
+        ref_canonical = canonical_smiles(ref_graph)
     except (SmilesError, GraphError) as exc:
         raise ReferenceInvalid(f"reference {reference!r}: {exc}") from exc
     if not predicted:
         return PredictionScore(valid=False, exact=False, tanimoto=0.0)
     try:
         pred_graph = parse_string(predicted)
-        pred_canonical = canonical_from_string(predicted)
+        pred_canonical = canonical_smiles(pred_graph)
     except (SmilesError, GraphError):
         return PredictionScore(valid=False, exact=False, tanimoto=0.0)
     exact = pred_canonical == ref_canonical
@@ -124,12 +132,15 @@ def evaluate(
 ) -> EvalReport:
     """Strip products, decode greedily, score each record, average.
 
-    Records are encoded one by one; those that fit no bucket are counted as
-    skipped and excluded from n.  The rest are decoded per bucket in batches
-    of EVAL_BATCH_SIZE, one encoder pass per batch serving both the greedy
-    decode and the teacher-forced cross-entropy.  Predictions match predict on
-    each record, cross-entropies match batch_loss on each record alone to
-    float32 roundoff, and rows come back in record order.
+    Records are encoded one by one with their references, which the
+    cross-entropy needs; those that fit no bucket are counted as skipped and
+    excluded from n.  The rest are grouped by bucket, which only sets the batch
+    shape because the model ignores PADs, and decoded in batches of
+    EVAL_BATCH_SIZE, one encoder pass per batch serving both the greedy decode
+    and the teacher-forced cross-entropy.  Every record decodes up to the
+    largest decoder length, as in predict.  Predictions match predict (and so
+    `rxnseq predict`) on each record, cross-entropies match batch_loss on each
+    record alone to float32 roundoff, and rows come back in record order.
     """
     if not records:
         raise EmptyTestset("no evaluation records")

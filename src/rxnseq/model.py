@@ -10,6 +10,8 @@ finite differences.
 Each GRU layer is held as three packed arrays, w (in, 3h), u (h, 3h) and
 b (3h,), with the z, r and h gate blocks side by side, so a step is three
 matrix products.  RXS2 checkpoints still store nine per-gate tensors per layer.
+PADs are inert: an encoder row keeps its state across its own PAD steps and
+attention gives them weight 0, so buckets only shape batches.
 """
 
 from __future__ import annotations
@@ -260,17 +262,20 @@ def _gru_backward(layer: GruLayerParams, grad: GruLayerParams, cache, dh_new):
     return dx, dh
 
 
-def _stack_backward(layers, grads, caches, dh_carry, dabove):
+def _stack_backward(layers, grads, caches, dh_carry, dabove, pad=None):
     """Backpropagate one time step down a GRU stack, top layer first.
 
     dh_carry holds each layer's gradient flowing back from the next step and
     is replaced in place by the gradient for the previous step; returns the
-    gradient with respect to the bottom layer's input.
+    gradient with respect to the bottom layer's input.  Rows set in pad
+    (batch, 1) kept their state: their gradient bypasses the cell.
     """
     for l in reversed(range(len(layers))):
-        dabove, dh_carry[l] = _gru_backward(
-            layers[l], grads[l], caches[l], dh_carry[l] + dabove
-        )
+        dh = dh_carry[l] + dabove
+        cell_dh = dh if pad is None else np.where(pad, 0.0, dh)
+        dabove, dh_carry[l] = _gru_backward(layers[l], grads[l], caches[l], cell_dh)
+        if pad is not None:
+            dh_carry[l] += np.where(pad, dh, 0.0)
     return dabove
 
 
@@ -280,35 +285,33 @@ def _check_ids(ids: np.ndarray, vocab_size: int, side: str) -> None:
 
 
 def _encode_forward(model: Model, enc_ids: np.ndarray, caches: list | None = None):
-    """Run the encoder stack; returns (top-layer states, final hidden per layer).
-
-    When caches is a list (training), each layer's per-step BPTT caches are
-    appended to it; inference passes None and keeps none.
+    """Run the encoder stack; returns (top-layer states, final hidden per
+    layer, PAD mask).  A row keeps its state across its own PAD steps, so
+    leading columns that are PAD in every row stay zero and are skipped.  When
+    caches is a list (training), each layer's BPTT caches are appended to it.
     """
     params, config = model.params, model.config
     batch, length = enc_ids.shape
-    if length not in {enc for enc, _ in config.buckets}:
-        raise DimensionMismatch(
-            f"encoder length {length} matches no bucket in {config.buckets.format()}"
-        )
     _check_ids(enc_ids, config.input_vocab_size, "encoder")
+    pad = enc_ids == PAD_ID
+    start = int(np.cumprod(pad.all(axis=0)).sum())
     dtype = params.dtype
     layer_in = params.enc_embed[enc_ids]
     finals = []
     for layer in params.enc_layers:
         h = np.zeros((batch, config.hidden_dim), dtype=dtype)
-        outs = np.empty((batch, length, config.hidden_dim), dtype=dtype)
+        outs = np.zeros((batch, length, config.hidden_dim), dtype=dtype)
         layer_caches = []
-        for t in range(length):
-            h, cache = _gru_forward(layer, layer_in[:, t], h)
-            outs[:, t] = h
+        for t in range(start, length):
+            h_new, cache = _gru_forward(layer, layer_in[:, t], h)
+            outs[:, t] = h = np.where(pad[:, t, None], h, h_new)
             if caches is not None:
                 layer_caches.append(cache)
         if caches is not None:
             caches.append(layer_caches)
         finals.append(h)
         layer_in = outs
-    return layer_in, finals
+    return layer_in, finals, pad
 
 
 def encode(model: Model, encoder_ids) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -321,7 +324,7 @@ def encode(model: Model, encoder_ids) -> tuple[np.ndarray, list[np.ndarray]]:
     single = ids.ndim == 1
     if single:
         ids = ids[None, :]
-    memory, finals = _encode_forward(model, ids)
+    memory, finals, _ = _encode_forward(model, ids)
     if single:
         return memory[0], [h[0] for h in finals]
     return memory, finals
@@ -340,10 +343,11 @@ class AttentionRecord:
     token_id: int = -1
 
 
-def _attention_forward(params: ModelParams, query: np.ndarray, memory: np.ndarray, ma: np.ndarray):
+def _attention_forward(params: ModelParams, query, memory, ma, pad=None):
+    """Additive attention; positions set in pad (batch, length) get weight 0."""
     s = np.tanh((query @ params.attn_q)[:, None, :] + ma)
     e = s @ params.attn_v
-    w = _softmax(e, axis=1)
+    w = _softmax(e if pad is None else np.where(pad, -np.inf, e), axis=1)
     context = np.einsum("bt,bth->bh", w, memory)
     return context, e, w, (query, s, w)
 
@@ -381,10 +385,10 @@ def attention(
     return context, AttentionRecord(scores=e, weights=w)
 
 
-def _decoder_step(params: ModelParams, ids, stack, memory, ma):
+def _decoder_step(params: ModelParams, ids, stack, memory, ma, pad):
     """Attention on the incoming top state, then [embedding; context] through
     the GRU stack and the output projection of [new top state; context]."""
-    context, e, w, att_cache = _attention_forward(params, stack[-1], memory, ma)
+    context, e, w, att_cache = _attention_forward(params, stack[-1], memory, ma, pad)
     x = np.concatenate([params.dec_embed[ids], context], axis=1)
     new_stack = []
     cell_caches = []
@@ -402,8 +406,10 @@ def decode_step(
     prev_token_id,
     hidden_stack: Sequence[np.ndarray],
     memory: np.ndarray,
+    pad_mask=None,
 ) -> tuple[np.ndarray, list[np.ndarray], AttentionRecord]:
-    """One greedy-decoding step; the attention query is the incoming top state."""
+    """One greedy-decoding step; the attention query is the incoming top state.
+    Memory positions set in pad_mask get weight 0; None means no PAD."""
     params, config = model.params, model.config
     ids = np.atleast_1d(np.asarray(prev_token_id, dtype=np.int64))
     _check_ids(ids, config.output_vocab_size, "decoder")
@@ -416,8 +422,9 @@ def decode_step(
         raise DimensionMismatch(
             f"hidden stack has {len(stack)} layers, expected {config.num_layers}"
         )
+    pad = None if pad_mask is None else np.atleast_2d(np.asarray(pad_mask, dtype=bool))
     logits, new_stack, e, w, _ = _decoder_step(
-        params, ids, stack, memory, memory @ params.attn_m
+        params, ids, stack, memory, memory @ params.attn_m, pad
     )
     if single:
         return (
@@ -428,9 +435,9 @@ def decode_step(
     return logits, new_stack, AttentionRecord(scores=e, weights=w)
 
 
-def _teacher_forced(params: ModelParams, memory, ma, stack, dec_ids, step_caches=None):
+def _teacher_forced(params: ModelParams, memory, ma, pad, stack, dec_ids, step_caches=None):
     """Decoder pass fed the reference, from an encoder pass (memory, its
-    attention keys ma = memory @ attn_m, final hidden stack).
+    attention keys ma = memory @ attn_m, PAD mask, final hidden stack).
 
     Returns the mean cross-entropy per non-PAD target token, each row's mean
     over its own target tokens, and the softmax pieces backward needs.  When
@@ -451,7 +458,7 @@ def _teacher_forced(params: ModelParams, memory, ma, stack, dec_ids, step_caches
     logits = np.empty((batch, steps, params.out_b.shape[0]), dtype=params.dtype)
     for t in range(steps):
         logits[:, t], stack, _, _, step_cache = _decoder_step(
-            params, inputs[:, t], stack, memory, ma
+            params, inputs[:, t], stack, memory, ma, pad
         )
         if step_caches is not None:
             step_caches.append(step_cache)
@@ -476,17 +483,19 @@ def _teacher_forced(params: ModelParams, memory, ma, stack, dec_ids, step_caches
 
 
 def _encoder_pass(model: Model, enc_ids: np.ndarray, caches: list | None = None):
-    """(memory, final hidden stack, attention keys memory @ attn_m) for a batch."""
-    memory, stack = _encode_forward(model, enc_ids, caches)
-    return memory, stack, memory @ model.params.attn_m
+    """(memory, final hidden stack, keys memory @ attn_m, PAD mask) for a batch."""
+    memory, stack, pad = _encode_forward(model, enc_ids, caches)
+    if pad.all(axis=1).any():
+        raise ValueError("an encoder row holds only PAD ids")
+    return memory, stack, memory @ model.params.attn_m, pad
 
 
 def batch_loss(model: Model, enc_ids, dec_ids) -> float:
     """Mean cross-entropy per non-PAD target token under teacher forcing."""
     enc = np.asarray(enc_ids, dtype=np.int64)
     dec = np.asarray(dec_ids, dtype=np.int64)
-    memory, stack, ma = _encoder_pass(model, enc)
-    loss, _, _ = _teacher_forced(model.params, memory, ma, stack, dec)
+    memory, stack, ma, pad = _encoder_pass(model, enc)
+    loss, _, _ = _teacher_forced(model.params, memory, ma, pad, stack, dec)
     return loss
 
 
@@ -497,8 +506,8 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
     dec = np.asarray(dec_ids, dtype=np.int64)
     enc_caches: list = []
     step_caches: list = []
-    memory, stack, ma = _encoder_pass(model, enc, enc_caches)
-    loss, _, fwd = _teacher_forced(params, memory, ma, stack, dec, step_caches)
+    memory, stack, ma, pad = _encoder_pass(model, enc, enc_caches)
+    loss, _, fwd = _teacher_forced(params, memory, ma, pad, stack, dec, step_caches)
     grad = zero_params(config, params.dtype)
 
     targets = fwd["targets"]
@@ -546,16 +555,18 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
     dmem += dma_total @ params.attn_m.T
 
     length = memory.shape[1]
+    start = length - len(enc_caches[0])  # leading all-PAD columns were skipped
     dx_embed = np.zeros(
         (enc.shape[0], length, config.embedding_dim), dtype=params.dtype
     )
-    for t in reversed(range(length)):
+    for t in reversed(range(start, length)):
         dx_embed[:, t] = _stack_backward(
             params.enc_layers,
             grad.enc_layers,
-            [layer_caches[t] for layer_caches in enc_caches],
+            [layer_caches[t - start] for layer_caches in enc_caches],
             dh_carry,
             dmem[:, t],
+            pad[:, t, None],
         )
     np.add.at(grad.enc_embed, enc, dx_embed)
     return loss, grad
@@ -638,28 +649,22 @@ def fit(
     return log
 
 
-def _decode_limit(config: ModelConfig, enc_len: int, max_len: int | None) -> int:
-    """Greedy steps allowed for an encoder length: the first bucket of that
-    length sets it (GO occupies one decoder slot), max_len may lower it."""
-    for enc, dec in config.buckets:
-        if enc == enc_len:
-            return dec - 1 if max_len is None else min(dec - 1, max_len)
-    raise DimensionMismatch(f"encoder length {enc_len} matches no bucket")
-
-
-def _greedy(params: ModelParams, memory, ma, stack, limit: int):
+def _greedy(model: Model, memory, ma, pad, stack, max_len: int | None = None):
     """Greedy decoding from GO for a batch, until every row has emitted EOS or
-    limit steps have run.
+    the limit has run: the largest decoder length less GO's slot, which
+    max_len may lower.
 
     Returns one entry per step: the ids emitted (batch,), the raw attention
     scores and the attention weights (batch, length).  Rows that have already
     emitted EOS keep stepping; callers read each row up to its first EOS.
     """
+    limit = model.config.buckets[-1][1] - 1
+    limit = limit if max_len is None else min(limit, max_len)
     prev = np.full(memory.shape[0], GO_ID, dtype=np.int64)
     done = np.zeros(memory.shape[0], dtype=bool)
     emitted, scores, weights = [], [], []
     for _ in range(limit):
-        logits, stack, e, w, _ = _decoder_step(params, prev, stack, memory, ma)
+        logits, stack, e, w, _ = _decoder_step(model.params, prev, stack, memory, ma, pad)
         prev = logits.argmax(axis=1)
         emitted.append(prev)
         scores.append(e)
@@ -689,9 +694,8 @@ def predict_with_attention(
     ids = np.asarray(encoder_ids, dtype=np.int64)
     if ids.ndim != 1:
         raise DimensionMismatch("predict expects a single encoded sequence")
-    limit = _decode_limit(model.config, ids.shape[0], max_len)
-    memory, stack, ma = _encoder_pass(model, ids[None, :])
-    emitted, scores, weights = _greedy(model.params, memory, ma, stack, limit)
+    memory, stack, ma, pad = _encoder_pass(model, ids[None, :])
+    emitted, scores, weights = _greedy(model, memory, ma, pad, stack, max_len)
     tokens = [int(step[0]) for step in emitted]
     records = [
         AttentionRecord(scores=e[0], weights=w[0], token_id=token)
@@ -704,17 +708,16 @@ def evaluate_batch(
     model: Model, enc_ids, dec_ids
 ) -> tuple[list[list[int]], np.ndarray]:
     """Greedy predictions and per-row teacher-forced cross-entropies for a
-    batch of one bucket, from one encoder pass.
+    batch, from one encoder pass.
 
     Each prediction is what predict gives for that row; each cross-entropy is
     batch_loss on that row alone, to float32 roundoff.
     """
     enc = np.asarray(enc_ids, dtype=np.int64)
     dec = np.asarray(dec_ids, dtype=np.int64)
-    limit = _decode_limit(model.config, enc.shape[1], None)
-    memory, stack, ma = _encoder_pass(model, enc)
-    emitted, _, _ = _greedy(model.params, memory, ma, stack, limit)
-    _, row_losses, _ = _teacher_forced(model.params, memory, ma, stack, dec)
+    memory, stack, ma, pad = _encoder_pass(model, enc)
+    emitted, _, _ = _greedy(model, memory, ma, pad, stack)
+    _, row_losses, _ = _teacher_forced(model.params, memory, ma, pad, stack, dec)
     tokens = np.array(emitted, dtype=np.int64).reshape(len(emitted), len(enc)).T
     return [_output_ids(row) for row in tokens], row_losses
 
@@ -730,9 +733,10 @@ def predict(model: Model, encoder_ids, max_len: int | None = None) -> list[int]:
 # u32 dims..., row-major little-endian float32 payload.
 # Each GRU layer is written as nine per-gate tensors (w_z, u_z, b_z, w_r, ...),
 # cut from and pasted back into the packed w/u/b blocks held in memory.
+# Version 2 weights were trained with inert PADs; version 1 files are refused.
 
 CHECKPOINT_MAGIC = b"RXS2"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _config_to_text(config: ModelConfig) -> str:

@@ -307,19 +307,12 @@ class BucketSpec:
     def __iter__(self):
         return iter(self.pairs)
 
-    def bucket_for(self, encoder_len: int, decoder_len: int) -> int:
+    def bucket_for(self, encoder_len: int, decoder_len: int = 0) -> int:
         """Smallest bucket admitting both lengths."""
         for index, (enc, dec) in enumerate(self.pairs):
             if encoder_len <= enc and decoder_len <= dec:
                 return index
         raise TooLongForBuckets(encoder_len, decoder_len)
-
-    def bucket_for_source(self, encoder_len: int) -> int:
-        """Smallest bucket admitting the encoder length (prediction time)."""
-        for index, (enc, _) in enumerate(self.pairs):
-            if encoder_len <= enc:
-                return index
-        raise TooLongForBuckets(encoder_len, 0)
 
 
 DEFAULT_BUCKETS = BucketSpec()
@@ -332,15 +325,19 @@ class EncodedExample:
     bucket_index: int
 
 
+def _encoder_ids(tokens, input_vocab: Vocab, encoder_len: int) -> tuple[int, ...]:
+    """Source token ids reversed, PAD ids prefixed up to encoder_len."""
+    body = tuple(input_vocab.id_of(t.text) for t in reversed(tokens))
+    return (PAD_ID,) * (encoder_len - len(body)) + body
+
+
 def encode_source(
     text: str, input_vocab: Vocab, buckets: BucketSpec = DEFAULT_BUCKETS
 ) -> tuple[tuple[int, ...], int]:
-    """Encode a product-less input: tokens reversed, PAD ids prefixed."""
-    tokens = [t.text for t in smiles.tokenize(text)]
-    index = buckets.bucket_for_source(len(tokens))
-    encoder_len = buckets[index][0]
-    body = [input_vocab.id_of(t) for t in reversed(tokens)]
-    return (PAD_ID,) * (encoder_len - len(body)) + tuple(body), index
+    """Encode a product-less input into the smallest bucket that holds it."""
+    tokens = smiles.tokenize(text)
+    index = buckets.bucket_for(len(tokens))
+    return _encoder_ids(tokens, input_vocab, buckets[index][0]), index
 
 
 def encode_example(
@@ -352,17 +349,16 @@ def encode_example(
     """Fixed-size id sequences: reversed PAD-prefixed source, GO..EOS target.
 
     Bucket lengths are measured in tokens (GO and EOS count); the ingest
-    filters measure characters.  Out-of-vocabulary tokens map to UNK.
+    filters measure characters.  Out-of-vocabulary tokens map to UNK.  The
+    model ignores PADs: the bucket only sets the batch shape.
     """
-    src_tokens = [t.text for t in smiles.tokenize(source_string(record))]
-    tgt_tokens = [t.text for t in smiles.tokenize(target_string(record))]
-    index = buckets.bucket_for(len(src_tokens), len(tgt_tokens) + 2)
+    source = smiles.tokenize(source_string(record))
+    products = smiles.tokenize(target_string(record))
+    target = [GO_ID, *(output_vocab.id_of(t.text) for t in products), EOS_ID]
+    index = buckets.bucket_for(len(source), len(target))
     encoder_len, decoder_len = buckets[index]
-    body = [input_vocab.id_of(t) for t in reversed(src_tokens)]
-    encoder_ids = (PAD_ID,) * (encoder_len - len(body)) + tuple(body)
-    target = [GO_ID] + [output_vocab.id_of(t) for t in tgt_tokens] + [EOS_ID]
     decoder_ids = tuple(target) + (PAD_ID,) * (decoder_len - len(target))
-    return EncodedExample(encoder_ids, decoder_ids, index)
+    return EncodedExample(_encoder_ids(source, input_vocab, encoder_len), decoder_ids, index)
 
 
 def decode_ids(ids: Sequence[int], vocab: Vocab) -> list[str]:

@@ -8,9 +8,11 @@ import csv
 import json
 import logging
 import shutil
+from pathlib import Path
 
 import pytest
 
+from rxnseq import pipeline
 from rxnseq.cli import main
 
 TRAIN_LINES = "C=C.Cl>>CCCl\nC=C.Br>>CCBr\nC=C.O>>CCO\n"
@@ -496,3 +498,53 @@ class TestExports:
                 rows = list(csv.reader(handle))
             assert rows[0][:2] == ["token", "rank"]
             assert 1 < len(rows) <= 6
+
+
+class TestCheckpointVersion:
+    def test_version_one_checkpoint_is_input_error(self, trained, tmp_path, capsys):
+        _, _, checkpoint = trained
+        copy = copy_checkpoint(checkpoint, tmp_path)
+        data = bytearray(copy.read_bytes())
+        data[4:8] = (1).to_bytes(4, "little")
+        copy.write_bytes(bytes(data))
+        code = main(["predict", "--checkpoint", str(copy), "--input", "C=C.Cl>>"])
+        assert code == 1
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+def unwritable_commands(root, data, checkpoint):
+    """One argv per command that writes files, each aimed at a path that
+    cannot be created: a missing directory, or a directory under a file."""
+    shipped = Path(pipeline.__file__).parent / "data"
+    missing = root / "missing" / "dir"
+    a_file = root / "a-file"
+    a_file.write_text("")
+    model = ["--checkpoint", str(checkpoint)]
+    return {
+        "gen": ["gen", "--templates", str(shipped / "templates.txt"),
+                "--substrates", str(shipped / "substrates.smi"), "--out", str(missing / "x")],
+        "ingest": ["ingest", "--data", str(data), "--out", str(missing / "x")],
+        "ingest-report": ["ingest", "--data", str(data), "--out", str(root / "ok.rsmi"),
+                          "--report", str(missing / "r.tsv")],
+        "split": ["split", "--data", str(data), "--out", str(a_file / "splits")],
+        "train": ["train", "--data", str(data), "--out", str(missing / "m.rxs2")] + TRAIN_FLAGS,
+        "eval": ["eval", *model, "--data", str(data), "--report", str(missing / "r")],
+        "export-attention": ["export-attention", *model, "--input", "C=C.Cl>>",
+                             "--out", str(missing / "a.csv")],
+        "export-embeddings": ["export-embeddings", *model, "--out", str(missing / "e")],
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["gen", "ingest", "ingest-report", "split", "train", "eval",
+     "export-attention", "export-embeddings"],
+)
+def test_unwritable_output_is_input_error(trained, tmp_path, capsys, command):
+    _, data, checkpoint = trained
+    argv = unwritable_commands(tmp_path, data, checkpoint)[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert "internal error" not in err
+    assert not (tmp_path / "missing").exists()

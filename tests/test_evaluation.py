@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rxnseq import evaluation
+from rxnseq.cli import main
 from rxnseq.evaluation import (
     EmptyTestset,
     EvalReport,
@@ -19,13 +20,22 @@ from rxnseq.evaluation import (
     write_report_csv,
     write_report_json,
 )
-from rxnseq.model import ModelConfig, batch_loss, fit, init_model, predict
+from rxnseq.model import (
+    ModelConfig,
+    batch_loss,
+    fit,
+    init_model,
+    predict,
+    save_checkpoint,
+)
 from rxnseq.pipeline import (
     BucketSpec,
     build_vocabs,
     encode_example,
+    encode_source,
     normalize,
     parse_record,
+    source_string,
 )
 
 
@@ -278,6 +288,74 @@ class TestBatchedEvaluate:
         assert 3 not in {row.index for row in report.rows}
         alone = evaluate(model, records, input_vocab, output_vocab)
         assert [r.predicted for r in report.rows] == [r.predicted for r in alone.rows]
+
+
+@pytest.fixture(scope="module")
+def narrow_first_bucket(tmp_path_factory):
+    """A saved model with buckets 8:5,12:12: records whose products need more
+    than 5 decoder slots sit in evaluate's 12-wide bucket, while predict
+    encodes their sources in the 8-wide one."""
+    records = [
+        normalize(parse_record(line))
+        for line in (
+            "C=C.Cl>>CCCl",
+            "C=C.Br>>CCBr",
+            "C=C.O>>CCO",
+            "C=CC.Cl>>CC(C)Cl",
+            "C=CC.Br>>CC(C)Br",
+            "C=CC.O>>CC(C)O",
+            "CC=C.Cl>>CC(C)Cl",
+            "C=C.I>>CCI",
+        )
+    ]
+    input_vocab, output_vocab = build_vocabs(records)
+    buckets = BucketSpec(((8, 5), (12, 12)))
+    config = ModelConfig(
+        input_vocab_size=len(input_vocab),
+        output_vocab_size=len(output_vocab),
+        num_layers=2,
+        embedding_dim=12,
+        hidden_dim=24,
+        buckets=buckets,
+        learning_rate=1.0,
+        seed=3,
+    )
+    model = init_model(config)
+    examples = [encode_example(r, input_vocab, output_vocab, buckets) for r in records]
+    fit(model, examples, steps=300, batch_size=4, seed=1)
+    checkpoint = tmp_path_factory.mktemp("narrow") / "model.rxs2"
+    save_checkpoint(model, checkpoint)
+    input_vocab.save(f"{checkpoint}.input-vocab")
+    output_vocab.save(f"{checkpoint}.output-vocab")
+    return model, records, input_vocab, output_vocab, checkpoint
+
+
+class TestOnePath:
+    def test_evaluate_predict_and_export_attention_agree(
+        self, narrow_first_bucket, tmp_path, capsys
+    ):
+        model, records, input_vocab, output_vocab, checkpoint = narrow_first_bucket
+        buckets = model.config.buckets
+        wider = 0
+        for record in records:
+            example = encode_example(record, input_vocab, output_vocab, buckets)
+            source_ids, _ = encode_source(source_string(record), input_vocab, buckets)
+            wider += len(example.encoder_ids) > len(source_ids)
+        assert wider >= 4
+        report = evaluate(model, records, input_vocab, output_vocab)
+        assert report.skipped == 0
+        capsys.readouterr()
+        for row in report.rows:
+            argv = ["predict", "--checkpoint", str(checkpoint), "--input", row.source]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == row.predicted + "\n"
+            path = tmp_path / "attention.csv"
+            export_attention(model, row.source, input_vocab, output_vocab, path)
+            with open(path, newline="") as handle:
+                tokens = [r[0] for r in list(csv.reader(handle))[1:]]
+            emitted = tokens[: tokens.index("<eos>")] if "<eos>" in tokens else tokens
+            assert "".join(t for t in emitted if t not in ("<pad>", "<go>")) == row.predicted
+        assert max(len(row.predicted) for row in report.rows) > 4
 
 
 class TestReportFiles:

@@ -183,10 +183,25 @@ class TestEncode:
         assert np.allclose(mem_a[:3], mem_b[:3])
         assert not np.allclose(mem_a[3:], mem_b[3:])
 
-    def test_non_bucket_length_rejected(self):
-        built = init_model(tiny_config())
-        with pytest.raises(DimensionMismatch):
-            encode(built, np.zeros(6, dtype=np.int64))
+    def test_leading_pads_are_inert(self):
+        built = init_model(tiny_config(seed=3))
+        body = np.array([5, 6, 7, 4], dtype=np.int64)
+        bare_memory, bare_finals = encode(built, body)
+        for pads in (1, 3, 7):  # any width, not just the bucket's
+            memory, finals = encode(built, np.concatenate([np.zeros(pads, np.int64), body]))
+            assert not memory[:pads].any()
+            assert np.array_equal(memory[pads:], bare_memory)
+            for a, b in zip(finals, bare_finals):
+                assert np.array_equal(a, b)
+        enc, _ = tiny_batch()  # rows with different PAD counts share columns
+        memory, finals = encode(built, enc)
+        for row in range(len(enc)):
+            pads = int((enc[row] == PAD_ID).sum())
+            alone, alone_finals = encode(built, enc[row, pads:])
+            assert not memory[row, :pads].any()
+            assert np.allclose(memory[row, pads:], alone, rtol=0, atol=1e-6)
+            for a, b in zip(finals, alone_finals):
+                assert np.allclose(a[row], b, rtol=0, atol=1e-6)
 
     def test_unknown_id_rejected(self):
         built = init_model(tiny_config())
@@ -256,12 +271,60 @@ class TestDecodeStep:
             prev = GO_ID
             picked = []
             for target in targets:
-                logits, stack, _ = decode_step(built, prev, stack, memory)
+                logits, stack, _ = decode_step(
+                    built, prev, stack, memory, enc[row] == PAD_ID
+                )
                 shifted = logits - logits.max()
                 picked.append(shifted[target] - np.log(np.exp(shifted).sum()))
                 prev = target
             expected = batch_loss(built, enc[row : row + 1], dec[row : row + 1])
             assert abs(-np.mean(picked) - expected) < 1e-6
+
+
+class TestPadding:
+    def test_source_at_two_widths_predicts_identical_ids(self):
+        built, example, *_ = overfit_single()
+        body = [i for i in example.encoder_ids if i != PAD_ID]
+        narrow = np.array(body)
+        wide = np.array([PAD_ID] * 9 + body)
+        ids_narrow, records_narrow = predict_with_attention(built, narrow)
+        ids_wide, records_wide = predict_with_attention(built, wide)
+        assert ids_narrow == ids_wide
+        assert [r.token_id for r in records_narrow] == [r.token_id for r in records_wide]
+        for a, b in zip(records_narrow, records_wide):
+            assert np.all(b.weights[:9] == 0.0)
+            assert np.allclose(b.weights[9:], a.weights, rtol=1e-5, atol=1e-7)
+        untrained = init_model(tiny_config(seed=2))
+        assert predict(untrained, np.array([5, 6, 7, 4, 4])) == predict(
+            untrained, np.array([0, 0, 5, 6, 7, 4, 4])
+        )
+
+    def test_pad_weights_are_exactly_zero_in_batch_decoding(self):
+        built = init_model(tiny_config(seed=4))
+        enc, _ = tiny_batch()
+        memory, stack, ma, pad = m._encoder_pass(built, enc)
+        _, _, weights = m._greedy(built, memory, ma, pad, stack)
+        for w in weights:
+            assert np.all(w[pad] == 0.0)
+            assert np.allclose(w.sum(axis=1), 1.0, atol=1e-6)
+
+    def test_batch_loss_ignores_the_pad_prefix(self):
+        built = init_model(tiny_config(seed=6), dtype=np.float64)
+        enc, dec = tiny_batch()
+        for row in range(len(enc)):
+            body = enc[row][enc[row] != PAD_ID]
+            alone = batch_loss(built, body[None, :], dec[row : row + 1])
+            padded = batch_loss(built, enc[row : row + 1], dec[row : row + 1])
+            assert abs(alone - padded) < 1e-12
+
+    def test_all_pad_row_is_a_clear_error(self):
+        built = init_model(tiny_config())
+        enc, dec = tiny_batch()
+        enc[1] = PAD_ID
+        with pytest.raises(ValueError, match="only PAD"):
+            batch_loss(built, enc, dec)
+        with pytest.raises(ValueError, match="only PAD"):
+            predict(built, np.zeros(7, dtype=np.int64))
 
 
 class TestLoss:
@@ -333,6 +396,30 @@ class TestGradients:
             assert err < 1e-4, f"{name}: max relative error {err}"
         assert worst < 1e-4
 
+    def test_interior_pads_carry_gradient_past_the_cell(self):
+        # The encoders only prefix PADs; encode and loss_and_grads accept any
+        # ids, and a row keeps its state across an interior PAD as well.
+        built = init_model(tiny_config(seed=19), dtype=np.float64)
+        enc = np.array([[5, 0, 6, 7, 0, 4, 4], [4, 4, 0, 5, 5, 6, 7]], dtype=np.int64)
+        _, dec = tiny_batch()
+        _, grads = loss_and_grads(built, enc, dec)
+        eps = 1e-5
+        for (name, arr), (_, g) in zip(built.params.named(), grads.named()):
+            if not name.startswith("enc"):
+                continue
+            numeric = np.zeros_like(arr)
+            flat, nflat = arr.reshape(-1), numeric.reshape(-1)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + eps
+                up = batch_loss(built, enc, dec)
+                flat[i] = keep - eps
+                down = batch_loss(built, enc, dec)
+                flat[i] = keep
+                nflat[i] = (up - down) / (2 * eps)
+            err = relative_errors(g, numeric).max()
+            assert err < 1e-4, f"{name}: max relative error {err}"
+
 
 def build_overfit_single():
     record = normalize(parse_record("CC=C(C)C.Cl>>CCC(C)(C)Cl"))
@@ -395,7 +482,9 @@ class TestTraining:
             memory, stack = encode(built, enc)
             prev, tokens, scores, weights = GO_ID, [], [], []
             for _ in range(built.config.buckets[0][1] - 1):
-                logits, stack, record = decode_step(built, prev, stack, memory)
+                logits, stack, record = decode_step(
+                    built, prev, stack, memory, enc == PAD_ID
+                )
                 prev = int(np.argmax(logits))
                 tokens.append(prev)
                 scores.append(record.scores)
@@ -433,7 +522,7 @@ class TestCheckpoint:
         assert len(data) == 6614
         assert (
             hashlib.sha256(data).hexdigest()
-            == "c3a1e9e16b2cb1135dcedf126b675b50c77489bb292ae9844200350d808002ae"
+            == "872ce88d5a622585e1c369265667fc1f4a3fdcd36107b9de97b0b5a649ec309d"
         )
 
     def test_save_deterministic_bytes(self, tmp_path):
@@ -451,6 +540,17 @@ class TestCheckpoint:
         data[:4] = b"NOPE"
         path.write_bytes(bytes(data))
         with pytest.raises(BadMagic):
+            load_checkpoint(path)
+
+    def test_version_one_file_is_refused(self, tmp_path):
+        # Version-1 weights were trained with PADs that carry state.
+        path = tmp_path / "model.rxs2"
+        save_checkpoint(init_model(tiny_config()), path)
+        data = bytearray(path.read_bytes())
+        assert data[4:8] == (2).to_bytes(4, "little")
+        data[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(VersionMismatch, match="version 1"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
