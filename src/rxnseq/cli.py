@@ -129,6 +129,18 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _require_writable(*paths) -> None:
+    """Check every output path before a command writes any of them, so a
+    command that cannot write one output leaves none behind."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise InputError(f"output path is a directory: {path}")
+        if not path.parent.is_dir():
+            raise InputError(f"output directory not found: {path.parent}")
+        if not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise InputError(f"output not writable: {path}")
+
+
 def _load_model_and_vocabs(checkpoint: str):
     from .model import CheckpointError, load_checkpoint
     from .pipeline import Vocab
@@ -260,6 +272,7 @@ def cmd_ingest(args) -> int:
     from .pipeline import ingest_file, write_reactions
 
     _require_file(args.data, "data file")
+    _require_writable(args.out, *([args.report] if args.report else []))
     records, report = ingest_file(args.data)
     write_reactions(records, args.out)
     if args.report:
@@ -284,8 +297,10 @@ def cmd_split(args) -> int:
         raise InputError(str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, part in (("train", train), ("valid", valid), ("test", test)):
-        write_reactions(part, out / f"{name}.rsmi")
+    parts = {out / "train.rsmi": train, out / "valid.rsmi": valid, out / "test.rsmi": test}
+    _require_writable(*parts)
+    for path, part in parts.items():
+        write_reactions(part, path)
     logger.info(
         "split %d records into %d/%d/%d", len(records), len(train), len(valid), len(test)
     )
@@ -303,9 +318,7 @@ def cmd_train(args) -> int:
     )
 
     cfg = _effective(args)
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise InputError(f"output directory not found: {out_dir}")
+    _require_writable(args.out, *_vocab_paths(args.out))
     if cfg["steps"] < 1:
         raise InputError("--steps must be positive")
     if cfg["batch_size"] < 1:
@@ -419,6 +432,8 @@ def cmd_eval(args) -> int:
     )
 
     model, input_vocab, output_vocab = _load_model_and_vocabs(args.checkpoint)
+    if args.report:
+        _require_writable(f"{args.report}.csv", f"{args.report}.json")
     records = _normalized_records(args.data)
     began = time.perf_counter()
     try:
@@ -459,14 +474,9 @@ def cmd_export_embeddings(args) -> int:
     model, input_vocab, output_vocab = _load_model_and_vocabs(args.checkpoint)
     if args.top_k < 0:
         raise InputError("--top-k must be non-negative")
-    export_embeddings(
-        model,
-        input_vocab,
-        output_vocab,
-        f"{args.out}.encoder.csv",
-        f"{args.out}.decoder.csv",
-        top_k=args.top_k,
-    )
+    paths = (f"{args.out}.encoder.csv", f"{args.out}.decoder.csv")
+    _require_writable(*paths)
+    export_embeddings(model, input_vocab, output_vocab, *paths, top_k=args.top_k)
     return 0
 
 

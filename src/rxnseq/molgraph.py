@@ -1,9 +1,18 @@
 """Molecular graphs: parsing, canonical emission, fingerprints.
 
 The canonicalizer uses iterative neighborhood refinement of atom
-invariants with tie-breaking by rank doubling; when a tied class cannot
-be separated, every member is tried and the lexicographically smallest
-rendering wins, so the result is independent of input atom order.
+invariants with tie-breaking by rank doubling.  When a tied class cannot
+be separated, its members are individualized one at a time and the
+lexicographically smallest rendering over the search tree wins, so the
+result is independent of input atom order.  The search prunes by
+symmetry (McKay & Piperno 2014, arXiv 1301.1493): two leaves that render
+the same string give an automorphism (the atom emitted k-th in one maps
+to the atom emitted k-th in the other); a tied atom in the orbit of an
+already-tried sibling, under the automorphisms found so far that fix the
+node's individualized atoms, is skipped, and a branch whose first atom
+joins such an orbit is abandoned.  A skipped branch is the image of a
+tried one, so it holds the same renderings and the result is unchanged.
+``canonical_from_string`` remembers its most recent distinct inputs.
 Stereo markers are carried through emission but excluded from ranking,
 so two renderings of one molecule that differ only in stereo layout may
 canonicalize differently; constitution is what is canonicalized.
@@ -13,7 +22,9 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .smiles import (
@@ -32,6 +43,8 @@ from .smiles import (
 )
 
 __all__ = [
+    "BOND_CLASS",
+    "BOND_VALENCE",
     "Atom",
     "BondOrder",
     "CanonicalizationError",
@@ -68,7 +81,13 @@ class ValenceError(GraphError):
 
 
 class CanonicalizationError(GraphError):
-    """Tie-breaking budget exhausted (pathologically symmetric input)."""
+    """The tie-breaking search rendered more leaves than its budget allows.
+
+    Symmetry alone no longer exhausts it: automorphism pruning keeps
+    tetra-tert-butylmethane (31104 automorphisms) to 12 leaves.  What
+    remains are graphs whose refinement leaves many atoms tied that no
+    automorphism relates, such as large regular cages.
+    """
 
 
 class WidthMismatch(ValueError):
@@ -83,15 +102,30 @@ class BondOrder(enum.Enum):
     UP = "/"
     DOWN = "\\"
 
-    @property
-    def valence(self) -> int:
-        return {"-": 1, "=": 2, "#": 3, ":": 1, "/": 1, "\\": 1}[self.value]
+    # Members are singletons: identity hashing keeps the bond tables'
+    # lookups in C, where Enum's own __hash__ is a Python call.
+    __hash__ = object.__hash__
 
-    @property
-    def rank_class(self) -> int:
-        # stereo direction is excluded from ranking and fingerprints
-        return {"-": 1, "/": 1, "\\": 1, "=": 2, "#": 3, ":": 4}[self.value]
 
+# Bond order each bond contributes to its atoms' valence.
+BOND_VALENCE = {
+    BondOrder.SINGLE: 1,
+    BondOrder.DOUBLE: 2,
+    BondOrder.TRIPLE: 3,
+    BondOrder.AROMATIC: 1,
+    BondOrder.UP: 1,
+    BondOrder.DOWN: 1,
+}
+# Bond class for ranking, fingerprints and template matching: stereo
+# direction is excluded, so UP and DOWN rank as SINGLE.
+BOND_CLASS = {
+    BondOrder.SINGLE: 1,
+    BondOrder.UP: 1,
+    BondOrder.DOWN: 1,
+    BondOrder.DOUBLE: 2,
+    BondOrder.TRIPLE: 3,
+    BondOrder.AROMATIC: 4,
+}
 
 _FLIP = {
     BondOrder.UP: BondOrder.DOWN,
@@ -269,7 +303,7 @@ def parse_string(text: str) -> MolGraph:
 
 
 def _order_sum(g: MolGraph, i: int) -> int:
-    return sum(order.valence for order in g._adj[i].values())
+    return sum(BOND_VALENCE[order] for order in g._adj[i].values())
 
 
 def effective_hcount(g: MolGraph, i: int) -> int:
@@ -287,27 +321,40 @@ def effective_hcount(g: MolGraph, i: int) -> int:
 
 
 def _ring_atoms(g: MolGraph) -> list[bool]:
-    """Atoms on at least one cycle: endpoints of non-bridge edges."""
-    in_ring = [False] * len(g.atoms)
-    for a, b, _ in g.bonds():
-        # edge is in a cycle iff endpoints stay connected without it
-        seen = {a}
-        queue = [a]
-        found = False
-        while queue and not found:
-            u = queue.pop()
-            for v in g._adj[u]:
-                if u == a and v == b:
+    """Atoms on at least one cycle: endpoints of non-bridge edges.
+
+    One depth-first search with low links (Tarjan): the tree edge from
+    ``p`` down to ``u`` is a bridge iff nothing below ``u`` links back to
+    ``p`` or above it.
+    """
+    n = len(g.atoms)
+    pre = [-1] * n
+    low = [0] * n
+    in_ring = [False] * n
+    count = 0
+    for start in range(n):
+        if pre[start] >= 0:
+            continue
+        pre[start] = low[start] = count
+        count += 1
+        stack = [(start, -1, iter(g._adj[start]))]
+        while stack:
+            u, p, it = stack[-1]
+            for v in it:
+                if v == p:
                     continue
-                if v == b:
-                    found = True
+                if pre[v] < 0:
+                    pre[v] = low[v] = count
+                    count += 1
+                    stack.append((v, u, iter(g._adj[v])))
                     break
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if found:
-            in_ring[a] = True
-            in_ring[b] = True
+                low[u] = min(low[u], pre[v])
+            else:
+                stack.pop()
+                if p >= 0:
+                    low[p] = min(low[p], low[u])
+                    if low[u] <= pre[p]:
+                        in_ring[u] = in_ring[p] = True
     return in_ring
 
 
@@ -316,18 +363,32 @@ def _dense_ranks(keys: list) -> list[int]:
     return [order[k] for k in keys]
 
 
-def _refine(g: MolGraph, ranks: list[int]) -> list[int]:
+def _bond_keys(g: MolGraph) -> list[list[tuple[int, int]]]:
+    """Each atom's bonds as integer (class offset, neighbour) pairs.
+
+    The offset is ``BOND_CLASS * 2n``; every rank ``_refine`` sees is below
+    ``2n``, so ``offset + rank`` sorts exactly as (class, rank) does.
+    """
+    stride = 2 * len(g.atoms)
+    return [
+        [(BOND_CLASS[order] * stride, j) for j, order in nbrs.items()]
+        for nbrs in g._adj
+    ]
+
+
+def _refine(bonds: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
+    """Split ranks by sorted (bond class, neighbour rank) until stable.
+
+    An atom alone in its rank keeps the key ``(rank,)``: no other key
+    starts with that rank, so its neighbours cannot move it.
+    """
     while True:
+        size = Counter(ranks)
         keys = [
-            (
-                ranks[i],
-                tuple(
-                    sorted(
-                        (order.rank_class, ranks[j]) for j, order in g._adj[i].items()
-                    )
-                ),
-            )
-            for i in range(len(g.atoms))
+            (rank, tuple(sorted([offset + ranks[j] for offset, j in nbrs])))
+            if size[rank] > 1
+            else (rank,)
+            for rank, nbrs in zip(ranks, bonds)
         ]
         new_ranks = _dense_ranks(keys)
         if new_ranks == ranks:
@@ -352,41 +413,125 @@ def _initial_ranks(g: MolGraph) -> list[int]:
     return _dense_ranks(keys)
 
 
+def _first_tied_class(ranks: list[int]) -> list[int] | None:
+    """Atoms of the lowest rank shared by several atoms, in index order."""
+    classes: dict[int, list[int]] = {}
+    for i, r in enumerate(ranks):
+        classes.setdefault(r, []).append(i)
+    for r in sorted(classes):
+        if len(classes[r]) > 1:
+            return classes[r]
+    return None
+
+
+def _individualize(ranks: list[int], atom: int) -> list[int]:
+    """Rank doubling: ``atom`` goes just ahead of the rest of its class."""
+    doubled = [r * 2 for r in ranks]
+    doubled[atom] -= 1
+    return doubled
+
+
+class _SearchNode:
+    """One open search node: the children tried so far, and the orbits of
+    the automorphisms that fix the node's individualized atoms, kept as a
+    union-find over the automorphisms' cycles."""
+
+    __slots__ = ("fixed", "parent", "seen", "tried")
+
+    def __init__(self, fixed: list[int], n: int):
+        self.fixed = fixed
+        self.parent = list(range(n))
+        self.seen = 0  # automorphisms already folded in
+        self.tried: list[int] = []
+
+    def _find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def covered(self, atom: int, automorphisms: list[list[int]]) -> bool:
+        """Whether ``atom`` lies in the orbit of a tried child."""
+        for sigma in automorphisms[self.seen:]:
+            if all(sigma[v] == v for v in self.fixed):
+                for i, j in enumerate(sigma):
+                    a, b = self._find(i), self._find(j)
+                    if a != b:
+                        self.parent[a] = b
+        self.seen = len(automorphisms)
+        root = self._find(atom)
+        return any(self._find(t) == root for t in self.tried)
+
+
 _EMISSION_BUDGET = 20000
 
 
 def _canonical_component(g: MolGraph) -> str:
-    if len(g.atoms) == 0:
+    """The smallest leaf rendering of the tie-breaking search tree.
+
+    A node's children individualize each atom of its first tied class;
+    children in the orbit of a tried sibling are skipped (module
+    docstring).  Leaves that repeat a rendering yield the automorphisms.
+    """
+    n = len(g.atoms)
+    if n == 0:
         return ""
-    budget = [_EMISSION_BUDGET]
-    best: list[str | None] = [None]
+    bonds = _bond_keys(g)
+    budget = _EMISSION_BUDGET
+    best: str | None = None
+    first_order: dict[str, list[int]] = {}  # rendering -> emission order of its first leaf
+    automorphisms: list[list[int]] = []
+    path: list[int] = []  # the atom individualized at each open node
+    nodes: list[_SearchNode] = []  # the open nodes, root first
 
-    def search(ranks: list[int]) -> None:
-        classes: dict[int, list[int]] = {}
-        for i, r in enumerate(ranks):
-            classes.setdefault(r, []).append(i)
-        tied = None
-        for r in sorted(classes):
-            if len(classes[r]) > 1:
-                tied = classes[r]
-                break
+    def leaf(ranks: list[int]) -> int:
+        nonlocal budget, best
+        budget -= 1
+        if budget < 0:
+            raise CanonicalizationError("tie-breaking budget exhausted")
+        order: list[int] = []
+        rendered = _render(g, ranks.index(0), ranks, order)
+        if best is None or rendered < best:
+            best = rendered
+        earlier = first_order.setdefault(rendered, order)
+        if earlier is not order:
+            sigma = list(range(n))
+            for a, b in zip(earlier, order):
+                sigma[a] = b
+            automorphisms.append(sigma)
+            # resume at the shallowest node whose current child just
+            # joined the orbit of a tried sibling
+            for depth, node in enumerate(nodes):
+                if node.covered(path[depth], automorphisms):
+                    return depth
+        return len(nodes)
+
+    def search(ranks: list[int]) -> int:
+        """Explore one node; returns the depth of the open node to resume at."""
+        tied = _first_tied_class(ranks)
         if tied is None:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CanonicalizationError("tie-breaking budget exhausted")
-            root = min(range(len(ranks)), key=lambda i: ranks[i])
-            rendered = _render(g, root, lambda u, v: ranks[v])
-            if best[0] is None or rendered < best[0]:
-                best[0] = rendered
-            return
-        for atom in tied:
-            doubled = [r * 2 for r in ranks]
-            doubled[atom] -= 1
-            search(_refine(g, doubled))
+            return leaf(ranks)
+        depth = len(nodes)
+        node = _SearchNode(path[:depth], n)
+        nodes.append(node)
+        try:
+            for atom in tied:
+                if node.covered(atom, automorphisms):
+                    continue
+                path.append(atom)
+                resume = search(_refine(bonds, _individualize(ranks, atom)))
+                path.pop()
+                node.tried.append(atom)
+                if resume < depth:
+                    return resume
+        finally:
+            nodes.pop()
+        return depth
 
-    search(_refine(g, _initial_ranks(g)))
-    assert best[0] is not None
-    return best[0]
+    search(_refine(bonds, _initial_ranks(g)))
+    assert best is not None
+    return best
 
 
 def canonical_smiles(g: MolGraph) -> str:
@@ -395,11 +540,22 @@ def canonical_smiles(g: MolGraph) -> str:
     Components are canonicalized separately and joined with dots in
     lexicographic order.
     """
-    parts = sorted(_canonical_component(g.subgraph(comp)) for comp in g.components())
-    return ".".join(parts)
+    comps = g.components()
+    if len(comps) == 1:
+        return _canonical_component(g)
+    return ".".join(sorted(_canonical_component(g.subgraph(comp)) for comp in comps))
 
 
+# Distinct strings canonical_from_string remembers per process; a few MB at most.
+_CANON_CACHE_SIZE = 1 << 14
+
+
+@functools.lru_cache(maxsize=_CANON_CACHE_SIZE)
 def canonical_from_string(text: str) -> str:
+    """``canonical_smiles(parse_string(text))``, memoized on ``text``.
+
+    Errors are raised again on every call; only results are remembered.
+    """
     return canonical_smiles(parse_string(text))
 
 
@@ -416,7 +572,7 @@ def random_smiles(g: MolGraph, seed: int) -> str:
         shuffle_pos = list(range(len(sub)))
         rng.shuffle(shuffle_pos)
         root = rng.randrange(len(sub))
-        parts.append(_render(sub, root, lambda u, v: shuffle_pos[v]))
+        parts.append(_render(sub, root, shuffle_pos))
     return ".".join(parts)
 
 
@@ -464,40 +620,43 @@ def _bond_text(g: MolGraph, u: int, v: int) -> str:
     return order.value
 
 
-def _render(g: MolGraph, root: int, key) -> str:
-    """Emit one component by DFS; ``key(u, v)`` orders the neighbors of u."""
-    parent: dict[int, int | None] = {root: None}
-    preindex: dict[int, int] = {}
-    children: dict[int, list[int]] = {i: [] for i in range(len(g.atoms))}
-    ring_at: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(g.atoms))}
-    ring_edges: set[frozenset[int]] = set()
+def _render(g: MolGraph, root: int, rank, order: list[int] | None = None) -> str:
+    """Emit one component by DFS, visiting neighbors in ``rank`` order.
 
-    stack = [(root, iter(sorted(g.neighbors(root), key=lambda v: key(root, v))))]
+    ``order``, when given, receives the atoms in emission order.
+    """
+    adj = g._adj
+    n = len(g.atoms)
+    parent = [-1] * n
+    preindex = [-1] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    # each ring bond as (partner's preindex, partner), at both ends
+    ring_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+
     preindex[root] = 0
+    count = 1
+    stack = [(root, iter(sorted(adj[root], key=rank.__getitem__)))]
     while stack:
         u, it = stack[-1]
-        advanced = False
         for v in it:
-            if v not in preindex:
+            if preindex[v] < 0:
                 parent[v] = u
-                preindex[v] = len(preindex)
+                preindex[v] = count
+                count += 1
                 children[u].append(v)
-                stack.append((v, iter(sorted(g.neighbors(v), key=lambda w: key(v, w)))))
-                advanced = True
+                stack.append((v, iter(sorted(adj[v], key=rank.__getitem__))))
                 break
-            if v != parent.get(u) and frozenset((u, v)) not in ring_edges:
-                ring_edges.add(frozenset((u, v)))
-        if not advanced:
+            # a bond back to an ancestor closes a ring; the ancestor's own
+            # look at this bond comes later and finds u after it
+            if preindex[v] < preindex[u] and v != parent[u]:
+                ring_at[v].append((preindex[u], u))
+                ring_at[u].append((preindex[v], v))
+        else:
             stack.pop()
-
-    for edge in ring_edges:
-        a, b = sorted(edge, key=lambda x: preindex[x])
-        ring_at[a].append((preindex[b], b))
-        ring_at[b].append((preindex[a], a))
-    for lst in ring_at.values():
+    for lst in ring_at:
         lst.sort()
 
-    marker_of: dict[frozenset[int], int] = {}
+    marker_of: dict[tuple[int, int], int] = {}  # (opening atom, closing atom) -> marker
     free: list[int] = []
     next_marker = [1]
 
@@ -511,11 +670,12 @@ def _render(g: MolGraph, root: int, key) -> str:
     pieces: list[str] = []
 
     def write(u: int) -> None:
+        if order is not None:
+            order.append(u)
         pieces.append(_atom_text(g, u))
-        for _, v in ring_at[u]:
-            edge = frozenset((u, v))
-            if edge in marker_of:
-                m = marker_of.pop(edge)
+        for p, v in ring_at[u]:
+            if p < preindex[u]:  # v was written first and opened this ring
+                m = marker_of.pop((v, u))
                 pieces.append(marker_text(m))
                 free.append(m)
             else:
@@ -524,7 +684,7 @@ def _render(g: MolGraph, root: int, key) -> str:
                     free.remove(m)
                 else:
                     next_marker[0] += 1
-                marker_of[edge] = m
+                marker_of[(u, v)] = m
                 pieces.append(_bond_text(g, u, v) + marker_text(m))
         kids = children[u]
         for v in kids[:-1]:
@@ -605,7 +765,7 @@ def morgan_fingerprint(g: MolGraph, radius: int = 2, nbits: int = 2048) -> Finge
         nxt = []
         for i in range(len(g.atoms)):
             env = sorted(
-                (order.rank_class, inv[j]) for j, order in g._adj[i].items()
+                (BOND_CLASS[order], inv[j]) for j, order in g._adj[i].items()
             )
             payload = f"{r + 1}|{inv[i]}|" + ",".join(f"{c}:{v}" for c, v in env)
             nxt.append(_fnv1a(payload.encode()))

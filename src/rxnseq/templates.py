@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 
 from .molgraph import (
+    BOND_CLASS,
     Atom,
     BondOrder,
     GraphError,
@@ -358,7 +359,7 @@ def _heavy_degree(g: MolGraph, i: int) -> int:
 
 
 def _orders_compatible(pattern_order: BondOrder, graph_order: BondOrder) -> bool:
-    return pattern_order.rank_class == graph_order.rank_class
+    return BOND_CLASS[pattern_order] == BOND_CLASS[graph_order]
 
 
 def _atom_compatible(g: MolGraph, gi: int, pa: PatternAtom) -> bool:

@@ -519,6 +519,7 @@ def unwritable_commands(root, data, checkpoint):
     missing = root / "missing" / "dir"
     a_file = root / "a-file"
     a_file.write_text("")
+    (root / "splits" / "test.rsmi").mkdir(parents=True)
     model = ["--checkpoint", str(checkpoint)]
     return {
         "gen": ["gen", "--templates", str(shipped / "templates.txt"),
@@ -527,6 +528,7 @@ def unwritable_commands(root, data, checkpoint):
         "ingest-report": ["ingest", "--data", str(data), "--out", str(root / "ok.rsmi"),
                           "--report", str(missing / "r.tsv")],
         "split": ["split", "--data", str(data), "--out", str(a_file / "splits")],
+        "split-test-dir": ["split", "--data", str(data), "--out", str(root / "splits")],
         "train": ["train", "--data", str(data), "--out", str(missing / "m.rxs2")] + TRAIN_FLAGS,
         "eval": ["eval", *model, "--data", str(data), "--report", str(missing / "r")],
         "export-attention": ["export-attention", *model, "--input", "C=C.Cl>>",
@@ -537,7 +539,7 @@ def unwritable_commands(root, data, checkpoint):
 
 @pytest.mark.parametrize(
     "command",
-    ["gen", "ingest", "ingest-report", "split", "train", "eval",
+    ["gen", "ingest", "ingest-report", "split", "split-test-dir", "train", "eval",
      "export-attention", "export-embeddings"],
 )
 def test_unwritable_output_is_input_error(trained, tmp_path, capsys, command):
@@ -548,3 +550,6 @@ def test_unwritable_output_is_input_error(trained, tmp_path, capsys, command):
     assert "error: " in err
     assert "internal error" not in err
     assert not (tmp_path / "missing").exists()
+    # a command with several outputs writes none of them when one fails
+    assert not (tmp_path / "ok.rsmi").exists()
+    assert sorted(p.name for p in (tmp_path / "splits").iterdir()) == ["test.rsmi"]

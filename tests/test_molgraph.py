@@ -1,7 +1,11 @@
 """Graph construction, canonicalization and fingerprint tests."""
 
+from pathlib import Path
+
 import pytest
 
+import rxnseq
+from rxnseq import molgraph
 from rxnseq.molgraph import (
     Atom,
     BondOrder,
@@ -17,7 +21,7 @@ from rxnseq.molgraph import (
     random_smiles,
     tanimoto,
 )
-from rxnseq.smiles import tokenize
+from rxnseq.smiles import strip_atom_maps_text, tokenize
 from rxnseq.molgraph import parse_graph
 
 
@@ -217,3 +221,141 @@ def test_subgraph_and_components():
     assert [len(c) for c in comps] == [3, 1]
     sub = g.subgraph(comps[0])
     assert canonical_smiles(sub) == canonical_from_string("CCO")
+
+
+# --- the pruned search against an exhaustive reference --------------------
+
+DATA = Path(rxnseq.__file__).parent / "data"
+
+
+def corpus_molecules() -> list[str]:
+    """Every distinct map-free molecule string of the shipped corpus."""
+    lines = (DATA / "corpus_mixed_1k.rsmi").read_text(encoding="utf-8").splitlines()
+    molecules = set()
+    for line in lines:
+        if line.strip():
+            for part in strip_atom_maps_text(line.strip()).split(">"):
+                molecules.update(m for m in part.split(".") if m)
+    return sorted(molecules)
+
+
+def exhaustive_canonical(g: MolGraph) -> str:
+    """The search without pruning: every member of every tied class is
+    individualized, and the smallest leaf rendering wins."""
+
+    def component(sub: MolGraph) -> str:
+        bonds = molgraph._bond_keys(sub)
+        renderings = []
+
+        def search(ranks):
+            ties = [r for r in sorted(set(ranks)) if ranks.count(r) > 1]
+            if not ties:
+                renderings.append(molgraph._render(sub, ranks.index(0), ranks))
+                return
+            for atom in [i for i, r in enumerate(ranks) if r == ties[0]]:
+                doubled = [r * 2 for r in ranks]
+                doubled[atom] -= 1
+                search(molgraph._refine(bonds, doubled))
+
+        search(molgraph._refine(bonds, molgraph._initial_ranks(sub)))
+        return min(renderings)
+
+    return ".".join(sorted(component(g.subgraph(c)) for c in g.components()))
+
+
+def bfs_ring_atoms(g: MolGraph) -> list[bool]:
+    """Endpoints of every bond whose ends stay connected without it."""
+    in_ring = [False] * len(g)
+    for a, b, _ in g.bonds():
+        seen, queue = {a}, [a]
+        while queue:
+            u = queue.pop()
+            for v in g.neighbors(u):
+                if (u, v) != (a, b) and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        if b in seen:
+            in_ring[a] = in_ring[b] = True
+    return in_ring
+
+
+# All-carbon cages on random regular graphs: refinement leaves atoms tied
+# that no automorphism relates, so which tied atom is tried matters.
+CAGES = [
+    "C12C3C4C5C1C2C4C35",
+    "C12C3C4C5C1C(C45)C23",
+    "C12C3C4C5C(C6C4C16)C5C23",
+    "C12C3C1C3C1C3C4C(C13)C24",
+    "C12C3C4C5C6C(C(C7C1C37)C25)C1C6C41",
+    "C12C3C4C1C1C5C6C7C(C6C23)C5C7C41",
+    "C123C45C67C11C89C46C27C58C319",
+    "C123C45C67C89C11C%10(C88C26C18C49%10)C357",
+]
+
+
+def test_pruned_search_matches_exhaustive_search():
+    for text in corpus_molecules() + CAGES:
+        g = parse_string(text)
+        for rendering in (text, random_smiles(g, 1), random_smiles(g, 2)):
+            graph = parse_string(rendering)
+            assert molgraph._ring_atoms(graph) == bfs_ring_atoms(graph), rendering
+            assert canonical_smiles(graph) == exhaustive_canonical(graph), rendering
+
+
+def test_ring_atoms_on_fused_bridged_and_spiro_systems():
+    for text in ("C12CC1CC2", "C1CC2CCC1C2", "C1CCC12CCC2", "C1CC1CCC1CC1", "CC", "C"):
+        g = parse_string(text)
+        assert molgraph._ring_atoms(g) == bfs_ring_atoms(g), text
+
+
+# The two tetra-tert-butyl methanes have 31104 automorphisms each, beyond
+# the leaf budget without pruning; the biphenyl has 288.
+SYMMETRIC = [
+    "c1cc(C(F)(F)F)ccc1-c1ccc(C(F)(F)F)cc1",
+    "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C",
+    "FC(F)(F)C(C(F)(F)F)(C(F)(F)F)C(F)(F)F",
+]
+
+
+@pytest.mark.parametrize("text", SYMMETRIC)
+def test_symmetric_molecules_take_few_leaves(monkeypatch, text):
+    # the unpruned search renders one leaf per automorphism
+    leaves = []
+    render = molgraph._render
+
+    def counting(*args, **kwargs):
+        leaves.append(args[1])
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(molgraph, "_render", counting)
+    canonical_smiles(parse_string(text))
+    assert 1 <= len(leaves) <= 16
+
+
+@pytest.mark.parametrize("text", SYMMETRIC[1:])
+def test_highly_symmetric_molecules_canonicalize_within_budget(text):
+    g = parse_string(text)
+    forms = {canonical_smiles(parse_string(random_smiles(g, seed))) for seed in range(50)}
+    assert forms == {canonical_from_string(text)}
+
+
+# --- the canonical_from_string memo ----------------------------------------
+
+
+def test_canonical_memo_is_bounded_by_a_module_constant():
+    info = canonical_from_string.cache_info()
+    assert info.maxsize == molgraph._CANON_CACHE_SIZE > 0
+    canonical_from_string("OCC(C)N")
+    hits = canonical_from_string.cache_info().hits
+    assert canonical_from_string("OCC(C)N") == canonical_smiles(parse_string("OCC(C)N"))
+    assert canonical_from_string.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("C1CC", InvalidStructure), ("C(C)(C)(C)(C)C", ValenceError)],
+)
+def test_invalid_string_raises_on_every_call(text, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            canonical_from_string(text)

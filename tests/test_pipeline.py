@@ -165,6 +165,13 @@ class TestNormalize:
             normalize(r)
         assert err.value.part == "C1CC"
 
+    def test_error_repeats_with_its_part(self):
+        # canonical_from_string memoizes results, never errors
+        for part in ("C(C)(C)(C)(C)C", "C(C)(C)(C)(C)C", "C1CC"):
+            with pytest.raises(CanonicalizationError) as err:
+                normalize(ReactionRecord(("CCO", part), (), ("C",)))
+            assert err.value.part == part
+
 
 class TestVocab:
     def test_specials_fixed(self):
