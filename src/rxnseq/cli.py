@@ -247,11 +247,8 @@ def cmd_gen(args) -> int:
         templates = load_templates_file(args.templates)
     except TemplateError as exc:
         raise InputError(f"{args.templates}: {exc}") from exc
-    substrates = [
-        line.strip()
-        for line in Path(args.substrates).read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    # unfiltered, so skipped substrates are logged with their file line numbers
+    substrates = Path(args.substrates).read_text(encoding="utf-8").splitlines()
     f = default_substrate_filter(
         min_atoms=args.min_atoms,
         max_atoms=args.max_atoms,
@@ -269,14 +266,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    from .pipeline import ingest_file, write_reactions
+    from .pipeline import ingest_file, write_atomic, write_reactions
 
     _require_file(args.data, "data file")
     _require_writable(args.out, *([args.report] if args.report else []))
     records, report = ingest_file(args.data)
     write_reactions(records, args.out)
     if args.report:
-        Path(args.report).write_text(report.tsv(), encoding="utf-8")
+        write_atomic(args.report, report.tsv().encode("utf-8"))
     logger.info("accepted %d of %d records", report.accepted, report.total)
     return 0
 

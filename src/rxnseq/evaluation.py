@@ -253,20 +253,21 @@ def export_attention(
     encoder_ids, _ = encode_source(source, input_vocab, model.config.buckets)
     _, records = predict_with_attention(model, np.array(encoder_ids))
     encoder_tokens = [input_vocab.token_of(i) for i in encoder_ids]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(
+        ["token"]
+        + [f"score:{t}" for t in encoder_tokens]
+        + [f"weight:{t}" for t in encoder_tokens]
+    )
+    for record in records:
+        token = output_vocab.token_of(record.token_id)
         writer.writerow(
-            ["token"]
-            + [f"score:{t}" for t in encoder_tokens]
-            + [f"weight:{t}" for t in encoder_tokens]
+            [token]
+            + [_fmt(v) for v in record.scores]
+            + [_fmt(v) for v in record.weights]
         )
-        for record in records:
-            token = output_vocab.token_of(record.token_id)
-            writer.writerow(
-                [token]
-                + [_fmt(v) for v in record.scores]
-                + [_fmt(v) for v in record.weights]
-            )
+    write_atomic(path, buffer.getvalue().encode("utf-8"))
 
 
 def export_embeddings(
@@ -290,13 +291,13 @@ def export_embeddings(
     ]
     for vocab, table, path in sides:
         k = min(top_k, len(vocab) - 4)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            dim = table.shape[1]
-            writer.writerow(["token", "rank"] + [f"e{i}" for i in range(dim)])
-            for rank in range(1, k + 1):
-                token_id = rank + 3  # ids 4.. are frequency-ordered
-                writer.writerow(
-                    [vocab.token_of(token_id), rank]
-                    + [_fmt(v) for v in table[token_id]]
-                )
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        dim = table.shape[1]
+        writer.writerow(["token", "rank"] + [f"e{i}" for i in range(dim)])
+        for rank in range(1, k + 1):
+            token_id = rank + 3  # ids 4.. are frequency-ordered
+            writer.writerow(
+                [vocab.token_of(token_id), rank] + [_fmt(v) for v in table[token_id]]
+            )
+        write_atomic(path, buffer.getvalue().encode("utf-8"))

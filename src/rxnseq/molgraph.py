@@ -28,22 +28,21 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .smiles import (
-    AROMATIC_SUBSET,
-    ORGANIC_SUBSET,
+    _BOND_ORDER_VALUE,
     BracketFields,
     TokenKind,
     TokenSequence,
     ValidationFailure,
-    _assemble,
-    _events,
+    _structure,
+    bare_form_allowed,
     bare_hydrogen_fill,
     format_bracket,
     tokenize,
-    validate,
 )
 
 __all__ = [
     "BOND_CLASS",
+    "BOND_OF_SYMBOL",
     "BOND_VALENCE",
     "Atom",
     "BondOrder",
@@ -107,15 +106,9 @@ class BondOrder(enum.Enum):
     __hash__ = object.__hash__
 
 
+BOND_OF_SYMBOL = {o.value: o for o in BondOrder}
 # Bond order each bond contributes to its atoms' valence.
-BOND_VALENCE = {
-    BondOrder.SINGLE: 1,
-    BondOrder.DOUBLE: 2,
-    BondOrder.TRIPLE: 3,
-    BondOrder.AROMATIC: 1,
-    BondOrder.UP: 1,
-    BondOrder.DOWN: 1,
-}
+BOND_VALENCE = {o: _BOND_ORDER_VALUE[o.value] for o in BondOrder}
 # Bond class for ranking, fingerprints and template matching: stereo
 # direction is excluded, so UP and DOWN rank as SINGLE.
 BOND_CLASS = {
@@ -248,20 +241,16 @@ class MolGraph:
         return comps
 
 
-_BOND_OF_SYMBOL = {o.value: o for o in BondOrder}
-
-
 def parse_graph(tokens: TokenSequence) -> MolGraph:
     """Build a graph from validated molecule tokens.
 
-    Bond order left implicit becomes aromatic between two aromatic atoms
-    and single otherwise.  Bare atoms whose bond order sum exceeds their
+    Bond orders come from :func:`smiles._assemble`, which also decides the
+    ones left implicit.  Bare atoms whose bond order sum exceeds their
     largest valence raise :class:`ValenceError`.
     """
-    result = validate(tokens)
+    atom_events, bonds, result = _structure(tokens)
     if not result.ok:
         raise InvalidStructure(result.failures)
-    atom_events, bonds, _ = _assemble(_events(tokens))
 
     g = MolGraph()
     for tok_index in atom_events:
@@ -285,12 +274,7 @@ def parse_graph(tokens: TokenSequence) -> MolGraph:
             g.add_atom(Atom(element=t.text))
 
     for bond in bonds:
-        if bond.symbol is None:
-            both_aromatic = g.atoms[bond.a].aromatic and g.atoms[bond.b].aromatic
-            order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-        else:
-            order = _BOND_OF_SYMBOL[bond.symbol]
-        g.add_bond(bond.a, bond.b, order)
+        g.add_bond(bond.a, bond.b, BOND_OF_SYMBOL[bond.symbol])
 
     for i, atom in enumerate(g.atoms):
         if atom.hcount is None:
@@ -578,29 +562,19 @@ def random_smiles(g: MolGraph, seed: int) -> str:
 
 def _atom_text(g: MolGraph, i: int) -> str:
     atom = g.atoms[i]
-    bare_symbol = atom.element.lower() if atom.aromatic else atom.element
-    bare_ok = (
-        atom.charge == 0
-        and atom.isotope is None
-        and atom.chirality is None
-        and (
-            (atom.aromatic and bare_symbol in AROMATIC_SUBSET)
-            or (not atom.aromatic and atom.element in ORGANIC_SUBSET)
-        )
-    )
-    if bare_ok:
+    symbol = atom.element.lower() if atom.aromatic else atom.element
+    if bare_form_allowed(symbol, atom.charge, atom.isotope, atom.chirality):
         if atom.hcount is None:
-            return bare_symbol
+            return symbol
         fill = bare_hydrogen_fill(atom.element, atom.aromatic, _order_sum(g, i))
         if fill == atom.hcount:
-            return bare_symbol
+            return symbol
     h = atom.hcount
     if h is None:
         h = effective_hcount(g, i)
-    element = bare_symbol if atom.aromatic else atom.element
     return format_bracket(
         BracketFields(
-            element=element,
+            element=symbol,
             isotope=atom.isotope,
             chirality=atom.chirality,
             hcount=h,
@@ -622,6 +596,9 @@ def _bond_text(g: MolGraph, u: int, v: int) -> str:
 
 def _render(g: MolGraph, root: int, rank, order: list[int] | None = None) -> str:
     """Emit one component by DFS, visiting neighbors in ``rank`` order.
+
+    Both the traversal and the writing use explicit stacks, so a long
+    chain needs no Python recursion.
 
     ``order``, when given, receives the atoms in emission order.
     """
@@ -658,7 +635,7 @@ def _render(g: MolGraph, root: int, rank, order: list[int] | None = None) -> str
 
     marker_of: dict[tuple[int, int], int] = {}  # (opening atom, closing atom) -> marker
     free: list[int] = []
-    next_marker = [1]
+    next_marker = 1
 
     def marker_text(m: int) -> str:
         if m < 10:
@@ -668,8 +645,13 @@ def _render(g: MolGraph, root: int, rank, order: list[int] | None = None) -> str
         raise GraphError("ring marker numbers exhausted")
 
     pieces: list[str] = []
-
-    def write(u: int) -> None:
+    # (text written before the atom, atom); atom -1 writes the text alone
+    todo = [("", root)]
+    while todo:
+        text, u = todo.pop()
+        pieces.append(text)
+        if u < 0:
+            continue
         if order is not None:
             order.append(u)
         pieces.append(_atom_text(g, u))
@@ -679,25 +661,21 @@ def _render(g: MolGraph, root: int, rank, order: list[int] | None = None) -> str
                 pieces.append(marker_text(m))
                 free.append(m)
             else:
-                m = min(free) if free else next_marker[0]
+                m = min(free) if free else next_marker
                 if free:
                     free.remove(m)
                 else:
-                    next_marker[0] += 1
+                    next_marker += 1
                 marker_of[(u, v)] = m
                 pieces.append(_bond_text(g, u, v) + marker_text(m))
         kids = children[u]
-        for v in kids[:-1]:
-            pieces.append("(")
-            pieces.append(_bond_text(g, u, v))
-            write(v)
-            pieces.append(")")
         if kids:
-            v = kids[-1]
-            pieces.append(_bond_text(g, u, v))
-            write(v)
-
-    write(root)
+            # the last child continues the chain; the others are branches,
+            # pushed in reverse so the first is written first
+            todo.append((_bond_text(g, u, kids[-1]), kids[-1]))
+            for v in reversed(kids[:-1]):
+                todo.append((")", -1))
+                todo.append(("(" + _bond_text(g, u, v), v))
     return "".join(pieces)
 
 

@@ -128,13 +128,7 @@ class RejectReport:
         return "".join(f"{name}\t{count}\n" for name, count in rows)
 
 
-def ingest_lines(
-    lines: Iterable[str],
-    *,
-    max_source_chars: int = MAX_SOURCE_CHARS,
-    max_product_chars: int = MAX_PRODUCT_CHARS,
-    max_products: int = MAX_PRODUCT_COUNT,
-) -> tuple[list[ReactionRecord], RejectReport]:
+def ingest_lines(lines: Iterable[str]) -> tuple[list[ReactionRecord], RejectReport]:
     """Strip atom maps, then filter on character lengths and product count.
 
     The source length covers everything before the second '>' (the first '>'
@@ -158,13 +152,13 @@ def ingest_lines(
             continue
         parts = stripped.split(">")
         source_len = len(parts[0]) + 1 + len(parts[1])
-        if source_len > max_source_chars:
+        if source_len > MAX_SOURCE_CHARS:
             report.source_too_long += 1
             continue
-        if len(parts[2]) > max_product_chars:
+        if len(parts[2]) > MAX_PRODUCT_CHARS:
             report.products_too_long += 1
             continue
-        if len(record.products) > max_products:
+        if len(record.products) > MAX_PRODUCT_COUNT:
             report.too_many_products += 1
             continue
         report.accepted += 1
@@ -172,9 +166,9 @@ def ingest_lines(
     return records, report
 
 
-def ingest_file(path: str | Path, **kwargs) -> tuple[list[ReactionRecord], RejectReport]:
+def ingest_file(path: str | Path) -> tuple[list[ReactionRecord], RejectReport]:
     with open(path, encoding="utf-8") as handle:
-        return ingest_lines(handle, **kwargs)
+        return ingest_lines(handle)
 
 
 def normalize(record: ReactionRecord) -> ReactionRecord:
@@ -245,7 +239,7 @@ class Vocab:
         # One regular token per line; line number = id - 4.  Specials are
         # implicit so the file stays a plain token list.
         body = "".join(token + "\n" for token in self._tokens[len(SPECIAL_TOKENS):])
-        Path(path).write_text(body, encoding="utf-8")
+        write_atomic(path, body.encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
@@ -446,7 +440,7 @@ def write_atomic(path: str | Path, data: bytes) -> None:
 
 def write_reactions(records: Iterable[ReactionRecord], path: str | Path) -> None:
     body = "".join(record.smiles() + "\n" for record in records)
-    Path(path).write_text(body, encoding="utf-8")
+    write_atomic(path, body.encode("utf-8"))
 
 
 def read_reactions(

@@ -6,13 +6,19 @@ The lexer splits a string into atom, bond, branch, ring-closure, dot and
 failures so callers can score malformed model output instead of crashing
 on it.  :func:`strip_atom_maps` removes atom-map labels and collapses
 brackets that the removal makes redundant.
+
+Every grammar decision about bonds is made once, in :func:`_assemble`,
+which molecule graphs, template patterns and map stripping all build on:
+a bond written without a symbol is aromatic (``:``) between two aromatic
+atoms and single (``-``) otherwise, so every bond it returns carries an
+explicit symbol.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "AROMATIC_SUBSET",
@@ -31,6 +37,7 @@ __all__ = [
     "ValidationFailure",
     "ValidationKind",
     "ValidationResult",
+    "bare_form_allowed",
     "bare_hydrogen_fill",
     "detokenize",
     "format_bracket",
@@ -60,6 +67,7 @@ VALENCES: dict[str, tuple[int, ...]] = {
 }
 
 _BOND_ORDER_VALUE = {"-": 1, "=": 2, "#": 3, ":": 1, "/": 1, "\\": 1}
+_BARE_SYMBOLS = frozenset(ORGANIC_SUBSET + AROMATIC_SUBSET)
 
 
 class SmilesError(ValueError):
@@ -320,11 +328,11 @@ class ValidationResult:
 
 @dataclass(frozen=True)
 class TopologyBond:
-    """Bond between atom ordinals; symbol None means 'default' order."""
+    """Bond between atom ordinals with its explicit symbol, e.g. ``:``."""
 
     a: int
     b: int
-    symbol: str | None
+    symbol: str
 
 
 def _assemble(events: list[tuple[str, object]]) -> tuple[
@@ -333,11 +341,17 @@ def _assemble(events: list[tuple[str, object]]) -> tuple[
     """Build bonds from a linear event stream.
 
     ``events`` entries are ``(kind, value)`` with kind in ``atom``, ``bond``,
-    ``open``, ``close``, ``ring``, ``break``; value is the bond symbol for
-    ``bond``, the ring number for ``ring``, otherwise ignored.  Returns atom
-    event indices, bonds over atom ordinals, and positioned failures.
+    ``open``, ``close``, ``ring``, ``break``; value is whether the atom is
+    aromatic for ``atom``, the bond symbol for ``bond``, the ring number for
+    ``ring``, otherwise ignored.  Returns atom event indices, bonds over atom
+    ordinals, and positioned failures.
+
+    This is the one place the implicit-bond rule lives: a bond written
+    without a symbol becomes ``:`` between two aromatic atoms and ``-``
+    otherwise.
     """
     atoms: list[int] = []
+    aromatic: list[bool] = []
     bonds: list[TopologyBond] = []
     failures: list[ValidationFailure] = []
     edge_set: set[frozenset[int]] = set()
@@ -355,12 +369,15 @@ def _assemble(events: list[tuple[str, object]]) -> tuple[
             fail(ValidationKind.DUPLICATE_RING_BOND, index)
             return
         edge_set.add(key)
+        if symbol is None:
+            symbol = ":" if aromatic[a] and aromatic[b] else "-"
         bonds.append(TopologyBond(a, b, symbol))
 
     for idx, (kind, value) in enumerate(events):
         if kind == "atom":
             ordinal = len(atoms)
             atoms.append(idx)
+            aromatic.append(bool(value))
             if prev is not None:
                 add_bond(prev, ordinal, pending[0] if pending else None, idx)
             elif pending is not None:
@@ -437,8 +454,13 @@ def _assemble(events: list[tuple[str, object]]) -> tuple[
 def _events(tokens: TokenSequence) -> list[tuple[str, object]]:
     out: list[tuple[str, object]] = []
     for t in tokens:
-        if t.is_atom():
-            out.append(("atom", None))
+        if t.kind is TokenKind.AROMATIC_ATOM:
+            out.append(("atom", True))
+        elif t.kind is TokenKind.ORGANIC_ATOM:
+            out.append(("atom", False))
+        elif t.kind is TokenKind.BRACKET_ATOM:
+            assert t.bracket is not None
+            out.append(("atom", t.bracket.aromatic))
         elif t.kind is TokenKind.BOND:
             out.append(("bond", t.text))
         elif t.kind is TokenKind.BRANCH_OPEN:
@@ -452,6 +474,18 @@ def _events(tokens: TokenSequence) -> list[tuple[str, object]]:
     return out
 
 
+def _structure(tokens: TokenSequence) -> tuple[
+    list[int], list[TopologyBond], ValidationResult
+]:
+    """One structure pass: atom token indices, bonds and the sorted failures."""
+    atoms, bonds, failures = _assemble(_events(tokens))
+    for i, t in enumerate(tokens):
+        if t.kind is TokenKind.SEPARATOR:
+            failures.append(ValidationFailure(ValidationKind.UNEXPECTED_SEPARATOR, i))
+    failures.sort(key=lambda f: (f.index, f.kind.value))
+    return atoms, bonds, ValidationResult(tuple(failures))
+
+
 def validate(tokens: TokenSequence) -> ValidationResult:
     """Structure-check a token sequence without raising.
 
@@ -459,21 +493,18 @@ def validate(tokens: TokenSequence) -> ValidationResult:
     placement.  ``>`` separators are rejected here: reaction strings must
     be split into parts before structural validation.
     """
-    _, _, failures = _assemble(_events(tokens))
-    for i, t in enumerate(tokens):
-        if t.kind is TokenKind.SEPARATOR:
-            failures.append(ValidationFailure(ValidationKind.UNEXPECTED_SEPARATOR, i))
-    failures.sort(key=lambda f: (f.index, f.kind.value))
-    return ValidationResult(tuple(failures))
+    return _structure(tokens)[2]
 
 
-def is_aromatic_token(token: Token) -> bool:
-    if token.kind is TokenKind.AROMATIC_ATOM:
-        return True
-    if token.kind is TokenKind.BRACKET_ATOM:
-        assert token.bracket is not None
-        return token.bracket.aromatic
-    return False
+def bare_form_allowed(
+    symbol: str, charge: int, isotope: int | None, chirality: str | None
+) -> bool:
+    """Whether an atom written ``symbol`` (lower case when aromatic) may drop
+    its brackets, its hydrogen count aside: neutral, no isotope or chirality,
+    and in the organic or aromatic subset."""
+    return (
+        charge == 0 and isotope is None and chirality is None and symbol in _BARE_SYMBOLS
+    )
 
 
 def bare_hydrogen_fill(
@@ -507,18 +538,12 @@ def strip_atom_maps(tokens: TokenSequence) -> TokenSequence:
     # not disturb the bond context, so brackets may still collapse
     simplifiable = all(f.kind is ValidationKind.MISPLACED_DOT for f in failures)
 
-    order_sum: dict[int, int] = {}
-    if simplifiable:
-        aromatic_flags = [is_aromatic_token(tokens[i]) for i in atom_events]
-        order_sum = {k: 0 for k in range(len(atom_events))}
-        for bond in bonds:
-            symbol = bond.symbol
-            if symbol is None:
-                symbol = ":" if aromatic_flags[bond.a] and aromatic_flags[bond.b] else "-"
-            value = _BOND_ORDER_VALUE[symbol]
-            order_sum[bond.a] += value
-            order_sum[bond.b] += value
-        ordinal_of_token = {tok_i: k for k, tok_i in enumerate(atom_events)}
+    order_sum = [0] * len(atom_events)
+    for bond in bonds:
+        value = _BOND_ORDER_VALUE[bond.symbol]
+        order_sum[bond.a] += value
+        order_sum[bond.b] += value
+    ordinal_of_token = {tok_i: k for k, tok_i in enumerate(atom_events)}
 
     out: list[Token] = []
     for i, t in enumerate(tokens):
@@ -526,23 +551,9 @@ def strip_atom_maps(tokens: TokenSequence) -> TokenSequence:
             out.append(t)
             continue
         assert t.bracket is not None
-        fields = BracketFields(
-            element=t.bracket.element,
-            isotope=t.bracket.isotope,
-            chirality=t.bracket.chirality,
-            hcount=t.bracket.hcount,
-            charge=t.bracket.charge,
-            atom_map=None,
-        )
-        if (
-            simplifiable
-            and fields.isotope is None
-            and fields.chirality is None
-            and fields.charge == 0
-            and (
-                (not fields.aromatic and fields.element in ORGANIC_SUBSET)
-                or (fields.aromatic and fields.element in AROMATIC_SUBSET)
-            )
+        fields = replace(t.bracket, atom_map=None)
+        if simplifiable and bare_form_allowed(
+            fields.element, fields.charge, fields.isotope, fields.chirality
         ):
             fill = bare_hydrogen_fill(
                 fields.element, fields.aromatic, order_sum[ordinal_of_token[i]]

@@ -5,7 +5,9 @@ product_pattern``.  Patterns are mapped-atom pattern SMILES: bare atoms
 constrain element and aromaticity; bracket atoms add hydrogen count,
 charge, and ``;D`` degree bounds, e.g. ``[OH1;D1:3]``.  Map numbers tie
 substrate atoms to product atoms; unmapped product atoms are introduced
-by the template.
+by the template.  A parsed pattern is a :class:`MolGraph` whose atoms are
+:class:`PatternAtom` constraints; its bonds come from the SMILES
+assembler, so an implicit bond follows the molecule rule.
 
 Application edits a copy of the substrate per the product pattern and
 keeps the component(s) containing product atoms.  When different
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 from .molgraph import (
     BOND_CLASS,
+    BOND_OF_SYMBOL,
     Atom,
     BondOrder,
     GraphError,
@@ -33,7 +36,7 @@ from .molgraph import (
     effective_hcount,
     parse_string,
 )
-from .smiles import _assemble
+from .smiles import _assemble, _parse_charge
 
 __all__ = [
     "PatternAtom",
@@ -102,49 +105,10 @@ class PatternAtom:
     map_number: int | None = None
 
 
-class PatternGraph:
-    __slots__ = ("atoms", "_adj", "source")
+class PatternGraph(MolGraph):
+    """A :class:`MolGraph` whose atoms are :class:`PatternAtom` constraints."""
 
-    def __init__(self, source: str = "") -> None:
-        self.atoms: list[PatternAtom] = []
-        self._adj: list[dict[int, BondOrder]] = []
-        self.source = source
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    def add_atom(self, atom: PatternAtom) -> int:
-        self.atoms.append(atom)
-        self._adj.append({})
-        return len(self.atoms) - 1
-
-    def add_bond(self, a: int, b: int, order: BondOrder) -> None:
-        self._adj[a][b] = order
-        self._adj[b][a] = order
-
-    def bonds(self) -> list[tuple[int, int, BondOrder]]:
-        return [
-            (a, b, order)
-            for a, nbrs in enumerate(self._adj)
-            for b, order in nbrs.items()
-            if a < b
-        ]
-
-    def neighbors(self, i: int) -> list[int]:
-        return list(self._adj[i])
-
-    def connected(self) -> bool:
-        if not self.atoms:
-            return False
-        seen = {0}
-        queue = [0]
-        while queue:
-            u = queue.pop()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == len(self.atoms)
+    __slots__ = ()
 
     def maps(self) -> dict[int, int]:
         """map number -> pattern atom index"""
@@ -169,16 +133,6 @@ _PATTERN_BRACKET_RE = re.compile(
 )
 
 
-def _parse_pattern_charge(text: str | None) -> int | None:
-    if text is None:
-        return None
-    if set(text) == {"+"}:
-        return len(text)
-    if set(text) == {"-"}:
-        return -len(text)
-    return int(text)
-
-
 def _parse_pattern_bracket(raw: str, position: int) -> PatternAtom:
     m = _PATTERN_BRACKET_RE.match(raw)
     if m is None:
@@ -200,11 +154,12 @@ def _parse_pattern_bracket(raw: str, position: int) -> PatternAtom:
         int(dmax) if dmax is not None else (int(dmin) if dmin is not None else None)
     )
     map_group = m.group("map")
+    charge = m.group("charge")
     return PatternAtom(
         element=element,
         aromatic=aromatic,
         hcount=h,
-        charge=_parse_pattern_charge(m.group("charge")),
+        charge=None if charge is None else _parse_charge(charge),
         min_degree=min_degree,
         max_degree=max_degree,
         map_number=int(map_group) if map_group is not None else None,
@@ -222,15 +177,15 @@ def parse_pattern(text: str) -> PatternGraph:
         pos = m.end()
         if m.group("bracket"):
             atoms.append(_parse_pattern_bracket(m.group("bracket"), m.start()))
-            events.append(("atom", None))
+            events.append(("atom", atoms[-1].aromatic is True))
         elif m.group("organic"):
             atoms.append(PatternAtom(element=m.group("organic"), aromatic=False))
-            events.append(("atom", None))
+            events.append(("atom", False))
         elif m.group("aromatic"):
             atoms.append(
                 PatternAtom(element=m.group("aromatic").capitalize(), aromatic=True)
             )
-            events.append(("atom", None))
+            events.append(("atom", True))
         elif m.group("bond"):
             events.append(("bond", m.group("bond")))
         elif m.group("open"):
@@ -250,19 +205,11 @@ def parse_pattern(text: str) -> PatternGraph:
         first = failures[0]
         raise PatternSyntaxError(f"bad pattern structure ({first.kind.value})", first.index)
 
-    g = PatternGraph(source=text)
+    g = PatternGraph()
     for atom in atoms:
         g.add_atom(atom)
-    order_of = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE, "#": BondOrder.TRIPLE, ":": BondOrder.AROMATIC}
     for bond in bonds:
-        if bond.symbol is None:
-            both_aromatic = (
-                atoms[bond.a].aromatic is True and atoms[bond.b].aromatic is True
-            )
-            order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-        else:
-            order = order_of[bond.symbol]
-        g.add_bond(bond.a, bond.b, order)
+        g.add_bond(bond.a, bond.b, BOND_OF_SYMBOL[bond.symbol])
     return g
 
 
@@ -275,7 +222,7 @@ class ReactionTemplate:
     product_pattern: PatternGraph
 
 
-def load_templates(lines, source_name: str = "<templates>") -> list[ReactionTemplate]:
+def load_templates(lines) -> list[ReactionTemplate]:
     """Load templates from an iterable of DSL lines (or an open file).
 
     Blank lines and ``#`` comments are skipped.  Coreactant and reagent
@@ -304,9 +251,9 @@ def load_templates(lines, source_name: str = "<templates>") -> list[ReactionTemp
             product_pattern = parse_pattern(product_src)
         except PatternSyntaxError as exc:
             raise TemplateSyntaxError(str(exc), line_number) from exc
-        if not substrate_pattern.connected():
+        if len(substrate_pattern.components()) != 1:
             raise TemplateSyntaxError("substrate pattern is not connected", line_number)
-        if not product_pattern.connected():
+        if len(product_pattern.components()) != 1:
             raise TemplateSyntaxError("product pattern is not connected", line_number)
 
         sub_maps = substrate_pattern.maps()
@@ -351,7 +298,7 @@ def load_templates(lines, source_name: str = "<templates>") -> list[ReactionTemp
 
 def load_templates_file(path) -> list[ReactionTemplate]:
     with open(path, encoding="utf-8") as handle:
-        return load_templates(handle, source_name=str(path))
+        return load_templates(handle)
 
 
 def _heavy_degree(g: MolGraph, i: int) -> int:

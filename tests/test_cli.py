@@ -7,6 +7,7 @@ and files, matching how the installed entry point behaves.
 import csv
 import json
 import logging
+import os
 import shutil
 from pathlib import Path
 
@@ -68,6 +69,11 @@ class TestSmallCommands:
     def test_canon_reaction_sorts_parts(self, capsys):
         assert main(["canon", "OCC.C>>CC=O"]) == 0
         assert capsys.readouterr().out.strip() == "C.CCO>>CC=O"
+
+    def test_canon_long_chain(self, capsys):
+        chain = "C" * 1200
+        assert main(["canon", chain]) == 0
+        assert capsys.readouterr().out == chain + "\n"
 
     def test_canon_rejects_unclosed_ring(self, capsys):
         assert main(["canon", "C1CC"]) == 1
@@ -134,6 +140,17 @@ class TestGen:
         lines = out.read_text().splitlines()
         assert "C=C.Cl>>CCCl" in lines
         assert all(line.count(">") == 2 for line in lines)
+
+    def test_skipped_substrate_is_logged_with_its_file_line(self, tmp_path, caplog):
+        templates = tmp_path / "templates.txt"
+        templates.write_text("hydrochlorination | [C:1]=[C:2] | Cl | | [C:1][C:2]Cl\n")
+        substrates = tmp_path / "substrates.smi"
+        substrates.write_text("# header\nC=C\n\n# unclosed ring next\nC1CC\n")
+        caplog.set_level(logging.INFO, logger="rxnseq.templates")
+        argv = ["gen", "--templates", str(templates), "--substrates", str(substrates),
+                "--out", str(tmp_path / "gen.rsmi")]
+        assert main(argv) == 0
+        assert "substrate skipped (line 5, C1CC)" in caplog.text
 
     def test_missing_template_file(self, tmp_path, capsys):
         substrates = tmp_path / "substrates.smi"
@@ -553,3 +570,46 @@ def test_unwritable_output_is_input_error(trained, tmp_path, capsys, command):
     # a command with several outputs writes none of them when one fails
     assert not (tmp_path / "ok.rsmi").exists()
     assert sorted(p.name for p in (tmp_path / "splits").iterdir()) == ["test.rsmi"]
+
+
+# Each writer aimed at ``target``; the CLI ones return their exit status.
+ATOMIC_WRITERS = {
+    "vocab": lambda target, data, model: pipeline.Vocab(["C", "O"]).save(target),
+    "reactions": lambda target, data, model: pipeline.write_reactions(
+        pipeline.read_reactions(data), target
+    ),
+    "ingest-report": lambda target, data, model: main(
+        ["ingest", "--data", str(data), "--out", str(target.with_name("ok.rsmi")),
+         "--report", str(target)]
+    ),
+    "export-attention": lambda target, data, model: main(
+        ["export-attention", "--checkpoint", str(model), "--input", "C=C.Cl>>",
+         "--out", str(target)]
+    ),
+    "export-embeddings": lambda target, data, model: main(
+        ["export-embeddings", "--checkpoint", str(model),
+         "--out", str(target).removesuffix(".encoder.csv")]
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+def test_failed_rename_leaves_the_old_file(trained, tmp_path, monkeypatch, writer):
+    _, data, checkpoint = trained
+    target = tmp_path / "out.encoder.csv"
+    target.write_text("old\n")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst) == target:
+            raise OSError("rename refused")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    try:
+        status = ATOMIC_WRITERS[writer](target, data, checkpoint)
+    except OSError:
+        status = 1
+    assert status == 1
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []

@@ -1,12 +1,14 @@
 """Integrity checks for the data files installed with the package."""
 
+import hashlib
 from pathlib import Path
 
 import rxnseq
-from rxnseq.pipeline import ingest_file
+from rxnseq.pipeline import ingest_file, normalize
 from rxnseq.templates import (
     default_substrate_filter,
     enumerate_substrates,
+    generate_dataset,
     load_templates_file,
 )
 
@@ -41,3 +43,34 @@ def test_corpus_lines_are_unique_and_ingestible():
     assert report.accepted == 1000
     assert report.total == 1000
     assert len(records) == 1000
+
+
+def records_digest(records) -> str:
+    return hashlib.sha256("".join(r.smiles() + "\n" for r in records).encode()).hexdigest()
+
+
+# Byte oracles for the chemistry layer: any change to parsing, map
+# stripping, canonicalization or template application that alters an
+# output string changes one of these digests.
+def test_gen_output_is_pinned():
+    templates = load_templates_file(DATA / "templates.txt")
+    substrates = (DATA / "substrates.smi").read_text().splitlines()
+    records, failures = generate_dataset(templates, substrates, default_substrate_filter())
+    assert failures == []
+    assert len(records) == 291
+    assert (
+        records_digest(records)
+        == "22503219e4e6ff7aa1eda4cd7ffffdf9bfd829ab89f86b9530fe351196c68017"
+    )
+
+
+def test_ingested_and_normalized_corpus_is_pinned():
+    records, _ = ingest_file(DATA / "corpus_mixed_1k.rsmi")
+    assert (
+        records_digest(records)
+        == "a7444d4138c1b4c17aa747b4ec443c3e36d4aa6d3626eb1cbe16cc361ffc2f4d"
+    )
+    assert (
+        records_digest(normalize(r) for r in records)
+        == "924eae9b8702b28cb1630c15b6fb31f697a391b03c9d91fe78320c8933d4286c"
+    )

@@ -359,3 +359,13 @@ def test_invalid_string_raises_on_every_call(text, error):
     for _ in range(3):
         with pytest.raises(error):
             canonical_from_string(text)
+
+
+def test_long_branched_chain_renders_without_recursion():
+    # 1200 atoms on a 1194-atom backbone: emission runs deeper than
+    # Python's default recursion limit from either end, and from the root
+    # seed 1 picks
+    g = parse_string(("C" * 199 + "(C)") * 6)
+    rendered = random_smiles(g, 1)
+    assert rendered.count("(") == 6
+    assert canonical_from_string(rendered) == canonical_smiles(g)

@@ -17,7 +17,10 @@ from rxnseq.smiles import (
     tokenize,
     validate,
     ValidationKind,
+    _assemble,
+    _events,
 )
+from rxnseq.templates import parse_pattern
 
 
 def texts(tokens):
@@ -226,3 +229,26 @@ def test_tokenize_never_merges_or_drops_characters():
         except Exception:
             continue
         assert detokenize(tokens) == text
+
+
+# Each case: the bond symbols _assemble returns, counted; the biphenyl's
+# written "-" between two aromatic atoms is kept.
+EXPLICIT_BOND_CASES = [
+    ("c1ccccc1C", {":": 6, "-": 1}),
+    ("c1ccccc1-c1ccccc1", {":": 12, "-": 1}),
+    ("C1=CC=CC=C1", {"=": 3, "-": 3}),
+]
+
+
+@pytest.mark.parametrize("text,counts", EXPLICIT_BOND_CASES)
+def test_assemble_gives_every_bond_an_explicit_symbol(text, counts):
+    _, bonds, failures = _assemble(_events(tokenize(text)))
+    assert failures == []
+    symbols = [bond.symbol for bond in bonds]
+    assert {s: symbols.count(s) for s in set(symbols)} == counts
+
+
+@pytest.mark.parametrize("text,counts", EXPLICIT_BOND_CASES)
+def test_patterns_take_bond_orders_from_the_same_rule(text, counts):
+    orders = [order.value for _, _, order in parse_pattern(text).bonds()]
+    assert {s: orders.count(s) for s in set(orders)} == counts
