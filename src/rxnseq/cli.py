@@ -28,11 +28,17 @@ class InputError(Exception):
     pass
 
 
+# The pools numpy's BLAS reads its size from, once, when numpy is imported.
+_BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _apply_thread_cap() -> None:
     """Honor RXNSEQ_THREADS by capping the numeric libraries' thread pools.
 
     Must run before anything imports numpy, which is why the subcommand
-    handlers import the heavy modules lazily.
+    handlers import the heavy modules lazily.  When numpy is already loaded
+    (rxnseq called from a Python program) the pools are sized, so a cap
+    that differs from what they were sized by is logged as ignored.
     """
     value = os.environ.get("RXNSEQ_THREADS")
     if value is None:
@@ -45,12 +51,19 @@ def _apply_thread_cap() -> None:
         raise InputError(
             f"RXNSEQ_THREADS must be a positive integer, got {value!r}"
         ) from None
-    for name in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
+    if "numpy" in sys.modules:
+        unmet = [
+            f"{name}={os.environ.get(name, '<unset>')}"
+            for name in _BLAS_THREAD_VARIABLES
+            if os.environ.get(name) != str(threads)
+        ]
+        if unmet:
+            logger.warning(
+                "RXNSEQ_THREADS=%d is ignored: numpy was imported with %s",
+                threads,
+                ", ".join(unmet),
+            )
+    for name in (*_BLAS_THREAD_VARIABLES, "NUMEXPR_NUM_THREADS"):
         os.environ[name] = str(threads)
 
 
@@ -355,6 +368,7 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     model = init_model(config)
+    began = time.perf_counter()
     try:
         log = fit(
             model,
@@ -365,14 +379,18 @@ def cmd_train(args) -> int:
         )
     except NonFiniteLoss as exc:
         raise InputError(f"training diverged: {exc}") from exc
+    seconds = time.perf_counter() - began
     save_checkpoint(model, args.out)
     input_path, output_path = _vocab_paths(args.out)
     input_vocab.save(input_path)
     output_vocab.save(output_path)
     logger.info(
-        "trained %d steps on %d examples; first loss %.4f, last loss %.4f",
+        "trained %d steps on %d examples in %.2f s, %.1f steps/s; "
+        "first loss %.4f, last loss %.4f",
         log.steps,
         len(examples),
+        seconds,
+        log.steps / seconds,
         log.losses[0],
         log.losses[-1],
     )

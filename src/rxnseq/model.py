@@ -206,8 +206,17 @@ def init_model(config: ModelConfig, dtype=np.float32) -> Model:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-softplus(-x)): stable for large |x|.
-    return np.exp(-np.logaddexp(0.0, -x))
+    """The logistic function 1/(1+exp(-x)), computed as 0.5*(1+tanh(x/2)).
+
+    The two are the same function.  Every GRU step sends its z and r gates
+    through here, and numpy's float32 ``tanh`` is a SIMD loop, about ten
+    times faster on a gate block than the scalar loop behind
+    ``exp(-logaddexp(0, -x))``.  ``tanh`` saturates without overflow or
+    underflow, so no input raises under ``np.errstate(all="raise")``.  The
+    result keeps the input dtype, stays within 2 eps of the exact value in
+    absolute terms, and lies in [0, 1].
+    """
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -8,6 +8,7 @@ import csv
 import json
 import logging
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -117,6 +118,38 @@ class TestThreadCap:
         import os
 
         assert os.environ["OMP_NUM_THREADS"] == "1"
+
+    @pytest.fixture
+    def numpy_loaded(self, monkeypatch):
+        import numpy  # noqa: F401 - the branch under test needs it loaded
+
+        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("RXNSEQ_THREADS", "1")
+
+    def test_cap_after_numpy_loaded_with_other_counts_warns(
+        self, numpy_loaded, monkeypatch, caplog
+    ):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        caplog.set_level(logging.WARNING, logger="rxnseq")
+        assert main(["tokenize", "CC"]) == 0
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            "RXNSEQ_THREADS=1 is ignored: numpy was imported with "
+            "OPENBLAS_NUM_THREADS=4, MKL_NUM_THREADS=<unset>"
+        )
+
+    def test_cap_after_numpy_loaded_with_the_same_counts_is_silent(
+        self, numpy_loaded, monkeypatch, caplog
+    ):
+        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(name, "1")
+        caplog.set_level(logging.WARNING, logger="rxnseq")
+        assert main(["tokenize", "CC"]) == 0
+        assert caplog.records == []
 
 
 class TestGen:
@@ -250,6 +283,20 @@ class TestTrain:
                 other.with_name(other.name + suffix).read_bytes()
                 == checkpoint.with_name(checkpoint.name + suffix).read_bytes()
             )
+
+    def test_final_line_reports_wall_time_and_steps_per_second(self, tmp_path, caplog):
+        data = tmp_path / "train.rsmi"
+        data.write_text(TRAIN_LINES)
+        caplog.set_level(logging.INFO, logger="rxnseq")
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.rxs2")]
+        code = main(argv + TRAIN_FLAGS + ["--steps", "5"])
+        assert code == 0
+        line = caplog.records[-1].getMessage()
+        assert re.fullmatch(
+            r"trained 5 steps on 3 examples in (\d+\.\d\d) s, (\d+\.\d) steps/s; "
+            r"first loss \d+\.\d{4}, last loss \d+\.\d{4}",
+            line,
+        ), line
 
     def test_config_file_supplies_flags(self, trained, tmp_path):
         _, data, checkpoint = trained

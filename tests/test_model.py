@@ -160,6 +160,28 @@ class TestGruCell:
             gru_cell_step(layer, np.zeros(9), np.zeros(5))
 
 
+class TestSigmoid:
+    # The tolerance is fixed from the dtype: the 2 eps `_sigmoid` promises.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_logistic_function_within_two_eps(self, dtype):
+        x = np.concatenate([[-1e30], np.linspace(-100, 100, 20001), [1e30]]).astype(dtype)
+        with np.errstate(over="ignore"):
+            exact = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        got = m._sigmoid(x)
+        assert got.dtype == dtype
+        assert np.abs(got - exact).max() <= 2 * np.finfo(dtype).eps
+        assert got.min() >= 0.0 and got.max() <= 1.0
+        assert (np.diff(got) >= 0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_raises_nothing_at_any_magnitude(self, dtype):
+        info = np.finfo(dtype)
+        x = np.array([-np.inf, info.min, -1e30, -90.0, -0.0, info.tiny, 90.0, info.max, np.inf], dtype)
+        with np.errstate(all="raise"):
+            got = m._sigmoid(x)
+        assert got[0] == 0.0 and got[-1] == 1.0 and got[4] == 0.5
+
+
 class TestEncode:
     def test_shapes(self):
         built = init_model(tiny_config())
