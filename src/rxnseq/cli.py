@@ -283,11 +283,19 @@ def cmd_ingest(args) -> int:
 
     _require_file(args.data, "data file")
     _require_writable(args.out, *([args.report] if args.report else []))
+    began = time.perf_counter()
     records, report = ingest_file(args.data)
+    seconds = time.perf_counter() - began
     write_reactions(records, args.out)
     if args.report:
         write_atomic(args.report, report.tsv().encode("utf-8"))
-    logger.info("accepted %d of %d records", report.accepted, report.total)
+    logger.info(
+        "accepted %d of %d records in %.2f s, %.1f records/s",
+        report.accepted,
+        report.total,
+        seconds,
+        report.total / seconds,
+    )
     return 0
 
 

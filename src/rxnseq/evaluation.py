@@ -29,6 +29,7 @@ from .molgraph import (  # noqa: F401
 )
 from .pipeline import (
     EncodedExample,
+    ReactionRecord,
     TooLongForBuckets,
     Vocab,
     encode_example,
@@ -38,7 +39,6 @@ from .pipeline import (
     write_atomic,
 )
 from .smiles import SmilesError
-from .templates import ReactionRecord
 
 
 # Rows per batch in evaluate; each batch is one encoder pass.

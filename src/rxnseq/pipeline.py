@@ -8,6 +8,8 @@ seeded bucketed batching.
 
 from __future__ import annotations
 
+import enum
+import functools
 import logging
 import os
 import random
@@ -19,9 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import smiles
-from .molgraph import GraphError, canonical_from_string, parse_string
+from .molgraph import _CANON_CACHE_SIZE, GraphError, canonical_from_string
+
+# parse_string stays importable here: perfbench's traced run wraps it.
+from .molgraph import parse_string  # noqa: F401
 from .smiles import SmilesError
-from .templates import ReactionRecord, RecordSource
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +69,28 @@ class TooLongForBuckets(PipelineError):
         )
         self.encoder_len = encoder_len
         self.decoder_len = decoder_len
+
+
+class RecordSource(enum.Enum):
+    GENERATED = "generated"
+    INGESTED = "ingested"
+
+
+@dataclass(frozen=True)
+class ReactionRecord:
+    reactants: tuple[str, ...]
+    reagents: tuple[str, ...]
+    products: tuple[str, ...]
+    source: RecordSource = RecordSource.GENERATED
+
+    def smiles(self) -> str:
+        return (
+            ".".join(self.reactants)
+            + ">"
+            + ".".join(self.reagents)
+            + ">"
+            + ".".join(self.products)
+        )
 
 
 def parse_record(
@@ -128,12 +154,31 @@ class RejectReport:
         return "".join(f"{name}\t{count}\n" for name, count in rows)
 
 
+@functools.lru_cache(maxsize=_CANON_CACHE_SIZE)
+def _stripped_molecule(molecule: str) -> str:
+    """``molecule`` with its atom maps stripped, once it is known to canonicalize.
+
+    Canonicalizing here leaves the result in ``canonical_from_string``'s
+    memo, so ``normalize`` parses nothing ingest has already read.  Errors
+    are raised again on every call; only results are remembered.
+    """
+    stripped = smiles.strip_atom_maps_text(molecule)
+    canonical_from_string(stripped)
+    return stripped
+
+
 def ingest_lines(lines: Iterable[str]) -> tuple[list[ReactionRecord], RejectReport]:
     """Strip atom maps, then filter on character lengths and product count.
 
+    Maps are stripped one molecule at a time, which gives the text stripping
+    the whole line would: only a ring bond or branch spanning '.' or '>' ties
+    a molecule to its neighbours, and such a molecule does not parse alone.
+    A line with a molecule that cannot be parsed or canonicalized is a parse
+    failure, logged and skipped, never fatal.
+
     The source length covers everything before the second '>' (the first '>'
-    counts as a character); the product length everything after it.  Lines
-    that fail to parse are logged and skipped, never fatal.
+    counts as a character); the product length everything after it.  Both
+    are measured on the stripped text.
     """
     records: list[ReactionRecord] = []
     report = RejectReport()
@@ -142,20 +187,22 @@ def ingest_lines(lines: Iterable[str]) -> tuple[list[ReactionRecord], RejectRepo
         if not line or line.startswith("#"):
             continue
         try:
-            stripped = smiles.strip_atom_maps_text(line)
-            record = parse_record(stripped)
-            for molecule in record.reactants + record.reagents + record.products:
-                parse_string(molecule)
+            mapped = parse_record(line)
+            record = ReactionRecord(
+                reactants=tuple(map(_stripped_molecule, mapped.reactants)),
+                reagents=tuple(map(_stripped_molecule, mapped.reagents)),
+                products=tuple(map(_stripped_molecule, mapped.products)),
+                source=RecordSource.INGESTED,
+            )
         except (SmilesError, GraphError) as exc:
             report.parse_failures += 1
             log.warning("line %d: skipped unparseable reaction: %s", lineno, exc)
             continue
-        parts = stripped.split(">")
-        source_len = len(parts[0]) + 1 + len(parts[1])
-        if source_len > MAX_SOURCE_CHARS:
+        reactants, reagents, products = record.smiles().split(">")
+        if len(reactants) + 1 + len(reagents) > MAX_SOURCE_CHARS:
             report.source_too_long += 1
             continue
-        if len(parts[2]) > MAX_PRODUCT_CHARS:
+        if len(products) > MAX_PRODUCT_CHARS:
             report.products_too_long += 1
             continue
         if len(record.products) > MAX_PRODUCT_COUNT:

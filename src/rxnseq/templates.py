@@ -19,7 +19,6 @@ product.
 
 from __future__ import annotations
 
-import enum
 import logging
 import re
 from dataclasses import dataclass
@@ -36,15 +35,14 @@ from .molgraph import (
     effective_hcount,
     parse_string,
 )
+from .pipeline import ReactionRecord, RecordSource
 from .smiles import _assemble, _parse_charge
 
 __all__ = [
     "PatternAtom",
     "PatternGraph",
     "PatternSyntaxError",
-    "ReactionRecord",
     "ReactionTemplate",
-    "RecordSource",
     "SubstrateFilter",
     "TemplateError",
     "TemplateSyntaxError",
@@ -401,28 +399,6 @@ def match_pattern(pattern: PatternGraph, g: MolGraph) -> list[dict[int, int]]:
             )
         )
     return [dict(p) for p in sorted(projections)]
-
-
-class RecordSource(enum.Enum):
-    GENERATED = "generated"
-    INGESTED = "ingested"
-
-
-@dataclass(frozen=True)
-class ReactionRecord:
-    reactants: tuple[str, ...]
-    reagents: tuple[str, ...]
-    products: tuple[str, ...]
-    source: RecordSource = RecordSource.GENERATED
-
-    def smiles(self) -> str:
-        return (
-            ".".join(self.reactants)
-            + ">"
-            + ".".join(self.reagents)
-            + ">"
-            + ".".join(self.products)
-        )
 
 
 def _edit_substrate(

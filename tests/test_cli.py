@@ -105,6 +105,21 @@ class TestSmallCommands:
         assert "usage" in capsys.readouterr().err
 
 
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
+
+
+def unset_thread_variables(monkeypatch):
+    """Unset the variables a thread cap writes, so monkeypatch restores them.
+
+    ``delenv(..., raising=False)`` alone records nothing for an absent
+    variable, and what ``main`` then writes would outlive the test.
+    """
+    for name in THREAD_VARIABLES:
+        monkeypatch.setenv(name, "")
+        monkeypatch.delenv(name)
+
+
 class TestThreadCap:
     def test_invalid_thread_cap_is_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv("RXNSEQ_THREADS", "zero")
@@ -112,20 +127,25 @@ class TestThreadCap:
         assert "RXNSEQ_THREADS" in capsys.readouterr().err
 
     def test_valid_thread_cap_is_applied(self, monkeypatch):
+        unset_thread_variables(monkeypatch)
         monkeypatch.setenv("RXNSEQ_THREADS", "1")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         assert main(["tokenize", "CC"]) == 0
-        import os
-
         assert os.environ["OMP_NUM_THREADS"] == "1"
+
+    def test_applied_cap_is_undone_after_the_test(self):
+        before = {name: os.environ.get(name) for name in THREAD_VARIABLES}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            unset_thread_variables(monkeypatch)
+            monkeypatch.setenv("RXNSEQ_THREADS", "1")
+            assert main(["tokenize", "CC"]) == 0
+            assert all(os.environ[name] == "1" for name in THREAD_VARIABLES)
+        assert {name: os.environ.get(name) for name in THREAD_VARIABLES} == before
 
     @pytest.fixture
     def numpy_loaded(self, monkeypatch):
         import numpy  # noqa: F401 - the branch under test needs it loaded
 
-        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                     "NUMEXPR_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
+        unset_thread_variables(monkeypatch)
         monkeypatch.setenv("RXNSEQ_THREADS", "1")
 
     def test_cap_after_numpy_loaded_with_other_counts_warns(
@@ -229,6 +249,24 @@ class TestIngestAndSplit:
         assert rows["too_many_products"] == "1"
         assert rows["parse_failures"] == "1"
         assert rows["total"] == "4"
+
+    def test_final_line_reports_wall_time_and_records_per_second(
+        self, tmp_path, caplog, capsys
+    ):
+        data = tmp_path / "raw.rsmi"
+        data.write_text("[CH2:1]=[CH2:2].[ClH:3]>>[CH3:1][CH2:2][Cl:3]\nnot a reaction\n")
+        out, report = tmp_path / "clean.rsmi", tmp_path / "rejects.tsv"
+        caplog.set_level(logging.INFO, logger="rxnseq")
+        argv = ["ingest", "--data", str(data), "--out", str(out), "--report", str(report)]
+        assert main(argv) == 0
+        line = caplog.records[-1].getMessage()
+        assert re.fullmatch(
+            r"accepted 1 of 2 records in \d+\.\d\d s, \d+\.\d records/s", line
+        ), line
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == "C=C.Cl>>CCCl\n"
+        expected = pipeline.RejectReport(parse_failures=1, accepted=1).tsv()
+        assert report.read_text() == expected
 
     def test_split_partitions_and_is_deterministic(self, tmp_path):
         data = tmp_path / "data.rsmi"

@@ -1,9 +1,13 @@
+import logging
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rxnseq
 from rxnseq import pipeline, smiles
+from rxnseq.molgraph import canonical_from_string
 from rxnseq.pipeline import (
     DEFAULT_BUCKETS,
     EOS_ID,
@@ -13,6 +17,9 @@ from rxnseq.pipeline import (
     BucketSpec,
     BucketSpecError,
     CanonicalizationError,
+    ReactionRecord,
+    RecordSource,
+    RejectReport,
     TooLongForBuckets,
     Vocab,
     batch_iter,
@@ -29,7 +36,8 @@ from rxnseq.pipeline import (
     write_atomic,
     write_reactions,
 )
-from rxnseq.templates import ReactionRecord, RecordSource
+
+CORPUS = Path(rxnseq.__file__).parent / "data" / "corpus_mixed_1k.rsmi"
 
 
 def record_of(line: str) -> ReactionRecord:
@@ -130,6 +138,77 @@ class TestIngestFilters:
         records, report = ingest_lines(["", "   ", "# header", "C>>C"])
         assert report.total == 1
         assert len(records) == 1
+
+    # One crafted line per report category and per broken shape.
+    OUTCOMES = {
+        "accepted": ("accepted", "[CH2:1]=[CH2:2].[ClH:3]>>[CH3:1][CH2:2][Cl:3]"),
+        "source too long": ("source_too_long", "C" * 151 + ">>C"),
+        "products too long": ("products_too_long", "C>>" + "C" * 81),
+        "too many products": ("too_many_products", "CCCO>>C.C.C.O"),
+        "bad token": ("parse_failures", "CC$C>>C"),
+        "unclosed ring": ("parse_failures", "C1CC>>C"),
+        "ring bond across '.'": ("parse_failures", "C1.C1>>C"),
+        "mapped ring bond across '.'": ("parse_failures", "[CH3:1]1.[CH3:2]1>>CC"),
+        "ring bond across '>'": ("parse_failures", "CC1>>C1"),
+        "branch across '.'": ("parse_failures", "C(C.C)C>>C"),
+        "branch across '>'": ("parse_failures", "C(C>>C)C"),
+        "empty molecule": ("parse_failures", "C..C>>C"),
+        "one '>'": ("parse_failures", "CCO>CC"),
+        "three '>'": ("parse_failures", "C>C>C>C"),
+    }
+
+    @pytest.mark.parametrize("category, line", OUTCOMES.values(), ids=OUTCOMES.keys())
+    def test_line_keeps_its_category(self, category, line, caplog):
+        caplog.set_level(logging.WARNING, logger="rxnseq.pipeline")
+        records, report = ingest_lines(["# header", "", line])
+        assert report == RejectReport(**{category: 1}), report.tsv()
+        assert len(records) == (category == "accepted")
+        logged = [r.getMessage() for r in caplog.records]
+        if category == "parse_failures":
+            [message] = logged
+            assert message.startswith("line 3: skipped unparseable reaction: ")
+        else:
+            assert logged == []
+
+    def test_batch_counts_each_category_and_logs_failures_by_line(self, caplog):
+        caplog.set_level(logging.WARNING, logger="rxnseq.pipeline")
+        categories = [category for category, _ in self.OUTCOMES.values()]
+        records, report = ingest_lines([line for _, line in self.OUTCOMES.values()])
+        assert report == RejectReport(**Counter(categories))
+        assert [r.smiles() for r in records] == ["C=C.Cl>>CCCl"]
+        logged = [r.getMessage().split(":")[0] for r in caplog.records]
+        failed = [i for i, c in enumerate(categories, start=1) if c == "parse_failures"]
+        assert logged == [f"line {i}" for i in failed]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[CH3:1][CH2:2][OH:3].[NH3:4]>[Na+:5].[Cl-:6]>[CH3:1][CH2:2][NH2:4]",
+            "[cH:1]1[cH:2][cH:3][cH:4][cH:5][c:6]1[CH3:7]"
+            ">>[cH:1]1[cH:2][cH:3][cH:4][cH:5][c:6]1[CH2:7]Br",
+            "[NH4+:1].[CH2:2]=[O:3]>>[NH2:1][CH2:2][OH:3]",
+        ],
+    )
+    def test_mapped_line_strips_like_the_whole_line(self, line):
+        assert self.accept(line).smiles() == smiles.strip_atom_maps_text(line)
+
+    def test_corpus_strips_like_whole_lines(self):
+        lines = CORPUS.read_text(encoding="utf-8").splitlines()
+        records, report = ingest_lines(lines)
+        assert report.accepted == len(lines) == len(records)
+        stripped = [smiles.strip_atom_maps_text(line) for line in lines]
+        assert [r.smiles() for r in records] == stripped
+
+    def test_normalize_after_ingest_parses_nothing(self):
+        pipeline._stripped_molecule.cache_clear()
+        canonical_from_string.cache_clear()
+        lines = CORPUS.read_text(encoding="utf-8").splitlines()[:200]
+        records, _ = ingest_lines(lines)
+        misses = canonical_from_string.cache_info().misses
+        assert misses > 0
+        for record in records:
+            normalize(record)
+        assert canonical_from_string.cache_info().misses == misses
 
     def test_report_tsv_shape(self):
         _, report = ingest_lines(["C>>C", "C" * 151 + ">>C", "junk("])
