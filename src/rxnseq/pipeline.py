@@ -21,10 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import smiles
-from .molgraph import _CANON_CACHE_SIZE, GraphError, canonical_from_string
-
-# parse_string stays importable here: perfbench's traced run wraps it.
-from .molgraph import parse_string  # noqa: F401
+from .molgraph import (
+    _CANON_CACHE_SIZE,
+    GraphError,
+    canonical_from_string,
+    parse_string,
+)
 from .smiles import SmilesError
 
 log = logging.getLogger(__name__)
@@ -51,6 +53,17 @@ class CanonicalizationError(PipelineError):
     def __init__(self, part: str, reason: str):
         super().__init__(f"cannot canonicalize {part!r}: {reason}")
         self.part = part
+
+
+class UnparseableMolecule(PipelineError):
+    """A molecule of an ingested line failed to parse; carries the molecule.
+
+    Positions in ``reason`` count from the molecule's first character.
+    """
+
+    def __init__(self, molecule: str, reason: str):
+        super().__init__(f"molecule {molecule!r}: {reason}")
+        self.molecule = molecule
 
 
 class VocabError(PipelineError):
@@ -156,14 +169,17 @@ class RejectReport:
 
 @functools.lru_cache(maxsize=_CANON_CACHE_SIZE)
 def _stripped_molecule(molecule: str) -> str:
-    """``molecule`` with its atom maps stripped, once it is known to canonicalize.
+    """``molecule`` with its atom maps stripped, once the result is known to parse.
 
-    Canonicalizing here leaves the result in ``canonical_from_string``'s
-    memo, so ``normalize`` parses nothing ingest has already read.  Errors
-    are raised again on every call; only results are remembered.
+    Memoized, so a molecule repeated across lines is read once.  Failures
+    are raised again on every call as :class:`UnparseableMolecule`; only
+    results are remembered.  Canonicalizing is left to ``normalize``.
     """
-    stripped = smiles.strip_atom_maps_text(molecule)
-    canonical_from_string(stripped)
+    try:
+        stripped = smiles.strip_atom_maps_text(molecule)
+        parse_string(stripped)
+    except (SmilesError, GraphError) as exc:
+        raise UnparseableMolecule(molecule, str(exc)) from exc
     return stripped
 
 
@@ -173,8 +189,8 @@ def ingest_lines(lines: Iterable[str]) -> tuple[list[ReactionRecord], RejectRepo
     Maps are stripped one molecule at a time, which gives the text stripping
     the whole line would: only a ring bond or branch spanning '.' or '>' ties
     a molecule to its neighbours, and such a molecule does not parse alone.
-    A line with a molecule that cannot be parsed or canonicalized is a parse
-    failure, logged and skipped, never fatal.
+    A line that does not split into three parts, or with a molecule that
+    cannot be parsed, is a parse failure, logged and skipped, never fatal.
 
     The source length covers everything before the second '>' (the first '>'
     counts as a character); the product length everything after it.  Both
@@ -194,7 +210,7 @@ def ingest_lines(lines: Iterable[str]) -> tuple[list[ReactionRecord], RejectRepo
                 products=tuple(map(_stripped_molecule, mapped.products)),
                 source=RecordSource.INGESTED,
             )
-        except (SmilesError, GraphError) as exc:
+        except (SmilesError, UnparseableMolecule) as exc:
             report.parse_failures += 1
             log.warning("line %d: skipped unparseable reaction: %s", lineno, exc)
             continue

@@ -7,7 +7,7 @@ import pytest
 
 import rxnseq
 from rxnseq import pipeline, smiles
-from rxnseq.molgraph import canonical_from_string
+from rxnseq.molgraph import canonical_from_string, parse_string
 from rxnseq.pipeline import (
     DEFAULT_BUCKETS,
     EOS_ID,
@@ -145,7 +145,7 @@ class TestIngestFilters:
         "source too long": ("source_too_long", "C" * 151 + ">>C"),
         "products too long": ("products_too_long", "C>>" + "C" * 81),
         "too many products": ("too_many_products", "CCCO>>C.C.C.O"),
-        "bad token": ("parse_failures", "CC$C>>C"),
+        "bad token": ("parse_failures", "CC>>C$C"),
         "unclosed ring": ("parse_failures", "C1CC>>C"),
         "ring bond across '.'": ("parse_failures", "C1.C1>>C"),
         "mapped ring bond across '.'": ("parse_failures", "[CH3:1]1.[CH3:2]1>>CC"),
@@ -167,6 +167,11 @@ class TestIngestFilters:
         if category == "parse_failures":
             [message] = logged
             assert message.startswith("line 3: skipped unparseable reaction: ")
+            if line == "CC>>C$C":
+                # the position counts within the molecule the message names
+                assert message.endswith(
+                    ": molecule 'C$C': unrecognized character ('$') at position 1"
+                )
         else:
             assert logged == []
 
@@ -199,16 +204,28 @@ class TestIngestFilters:
         stripped = [smiles.strip_atom_maps_text(line) for line in lines]
         assert [r.smiles() for r in records] == stripped
 
-    def test_normalize_after_ingest_parses_nothing(self):
+    def test_ingest_parses_each_distinct_molecule_once(self, monkeypatch):
+        parsed = Counter()
+
+        def counting_parse(text):
+            parsed[text] += 1
+            return parse_string(text)
+
+        monkeypatch.setattr(pipeline, "parse_string", counting_parse)
         pipeline._stripped_molecule.cache_clear()
         canonical_from_string.cache_clear()
         lines = CORPUS.read_text(encoding="utf-8").splitlines()[:200]
         records, _ = ingest_lines(lines)
-        misses = canonical_from_string.cache_info().misses
-        assert misses > 0
-        for record in records:
-            normalize(record)
-        assert canonical_from_string.cache_info().misses == misses
+        ingest_lines(lines)
+        # one parse per distinct molecule string as written, maps and all
+        written = [m for line in lines for part in line.split(">") if part for m in part.split(".")]
+        assert len(set(written)) < len(written)
+        assert parsed == Counter(smiles.strip_atom_maps_text(m) for m in set(written))
+        kept = {m for r in records for m in r.reactants + r.reagents + r.products}
+        assert set(parsed) == kept
+        # canonicalizing is normalize's job, not ingest's
+        info = canonical_from_string.cache_info()
+        assert info.hits + info.misses == 0
 
     def test_report_tsv_shape(self):
         _, report = ingest_lines(["C>>C", "C" * 151 + ">>C", "junk("])
