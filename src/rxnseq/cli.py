@@ -10,6 +10,7 @@ be written included), 2 on internal errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -96,10 +97,20 @@ _DEFAULTS = {
 }
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """Report a ``path`` that is not UTF-8 text as an input error naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with _reading(path):
+            text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read config file: {exc}") from exc
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -156,7 +167,7 @@ def _require_writable(*paths) -> None:
 
 def _load_model_and_vocabs(checkpoint: str):
     from .model import CheckpointError, load_checkpoint
-    from .pipeline import Vocab
+    from .pipeline import Vocab, VocabError
 
     _require_file(checkpoint, "checkpoint")
     input_path, output_path = _vocab_paths(checkpoint)
@@ -166,16 +177,22 @@ def _load_model_and_vocabs(checkpoint: str):
         model = load_checkpoint(checkpoint)
     except CheckpointError as exc:
         raise InputError(f"cannot load checkpoint: {exc}") from exc
-    input_vocab, output_vocab = Vocab.load(input_path), Vocab.load(output_path)
-    for path, vocab, size in (
-        (input_path, input_vocab, model.config.input_vocab_size),
-        (output_path, output_vocab, model.config.output_vocab_size),
+    vocabs = []
+    for path, size in (
+        (input_path, model.config.input_vocab_size),
+        (output_path, model.config.output_vocab_size),
     ):
+        try:
+            with _reading(path):
+                vocab = Vocab.load(path)
+        except VocabError as exc:
+            raise InputError(f"{path}: {exc}") from exc
         if len(vocab) != size:
             raise InputError(
                 f"{path} has {len(vocab)} tokens, the checkpoint expects {size}"
             )
-    return model, input_vocab, output_vocab
+        vocabs.append(vocab)
+    return model, *vocabs
 
 
 def _normalized_records(path: str):
@@ -184,7 +201,8 @@ def _normalized_records(path: str):
 
     _require_file(path, "data file")
     try:
-        records = read_reactions(path)
+        with _reading(path):
+            records = read_reactions(path)
         return [normalize(r) for r in records]
     except (SmilesError, CanonicalizationError) as exc:
         raise InputError(f"{path}: {exc}") from exc
@@ -257,11 +275,13 @@ def cmd_gen(args) -> int:
     _require_file(args.templates, "template file")
     _require_file(args.substrates, "substrate file")
     try:
-        templates = load_templates_file(args.templates)
+        with _reading(args.templates):
+            templates = load_templates_file(args.templates)
     except TemplateError as exc:
         raise InputError(f"{args.templates}: {exc}") from exc
     # unfiltered, so skipped substrates are logged with their file line numbers
-    substrates = Path(args.substrates).read_text(encoding="utf-8").splitlines()
+    with _reading(args.substrates):
+        substrates = Path(args.substrates).read_text(encoding="utf-8").splitlines()
     f = default_substrate_filter(
         min_atoms=args.min_atoms,
         max_atoms=args.max_atoms,
@@ -284,7 +304,8 @@ def cmd_ingest(args) -> int:
     _require_file(args.data, "data file")
     _require_writable(args.out, *([args.report] if args.report else []))
     began = time.perf_counter()
-    records, report = ingest_file(args.data)
+    with _reading(args.data):
+        records, report = ingest_file(args.data)
     seconds = time.perf_counter() - began
     write_reactions(records, args.out)
     if args.report:
@@ -431,9 +452,9 @@ def cmd_predict(args) -> int:
         print(_predict_one(model, input_vocab, output_vocab, source))
         return 0
     _require_file(args.data, "data file")
-    for number, raw in enumerate(
-        Path(args.data).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    with _reading(args.data):
+        lines = Path(args.data).read_text(encoding="utf-8").splitlines()
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -758,6 +758,13 @@ def _config_to_text(config: ModelConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# How _config_from_bytes reads each field back from _config_to_text's form.
+_FIELD_PARSERS = {
+    f.name: {"int": int, "float": float, "BucketSpec": BucketSpec.parse}[f.type]
+    for f in fields(ModelConfig)
+}
+
+
 def _config_from_bytes(block: bytes) -> ModelConfig:
     values: dict[str, str] = {}
     try:
@@ -767,15 +774,7 @@ def _config_from_bytes(block: bytes) -> ModelConfig:
             key, _, raw = line.partition("=")
             values[key] = raw
         return ModelConfig(
-            input_vocab_size=int(values["input_vocab_size"]),
-            output_vocab_size=int(values["output_vocab_size"]),
-            num_layers=int(values["num_layers"]),
-            embedding_dim=int(values["embedding_dim"]),
-            hidden_dim=int(values["hidden_dim"]),
-            buckets=BucketSpec.parse(values["buckets"]),
-            learning_rate=float(values["learning_rate"]),
-            gradient_clip_norm=float(values["gradient_clip_norm"]),
-            seed=int(values["seed"]),
+            **{name: parse(values[name]) for name, parse in _FIELD_PARSERS.items()}
         )
     except (KeyError, ValueError, BucketSpecError) as exc:
         raise ConfigMismatch(f"bad config block: {exc}") from exc

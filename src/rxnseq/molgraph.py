@@ -29,12 +29,13 @@ from dataclasses import dataclass
 
 from .smiles import (
     _BOND_ORDER_VALUE,
+    AROMATIC_SUBSET,
+    ORGANIC_SUBSET,
     BracketFields,
     TokenKind,
     TokenSequence,
     ValidationFailure,
     _structure,
-    bare_form_allowed,
     bare_hydrogen_fill,
     format_bracket,
     tokenize,
@@ -60,6 +61,7 @@ __all__ = [
     "parse_graph",
     "parse_string",
     "random_smiles",
+    "strip_atom_maps",
     "tanimoto",
 ]
 
@@ -284,6 +286,27 @@ def parse_graph(tokens: TokenSequence) -> MolGraph:
 
 def parse_string(text: str) -> MolGraph:
     return parse_graph(tokenize(text))
+
+
+def strip_atom_maps(molecule: str) -> str:
+    """``molecule`` as written, with its atom maps dropped.
+
+    One parse: every bracket atom is then written as canonical emission
+    writes it (:func:`_atom_text`), so a bracket that only the map kept
+    loses its brackets; every other token is copied as written.  Raises
+    ``SmilesError`` or :class:`GraphError` when ``molecule`` does not parse.
+    """
+    tokens = tokenize(molecule)
+    g = parse_graph(tokens)
+    pieces = []
+    atom = 0
+    for t in tokens:
+        if t.kind is TokenKind.BRACKET_ATOM:
+            pieces.append(_atom_text(g, atom))
+        else:
+            pieces.append(t.text)
+        atom += t.is_atom()
+    return "".join(pieces)
 
 
 def _order_sum(g: MolGraph, i: int) -> int:
@@ -560,10 +583,21 @@ def random_smiles(g: MolGraph, seed: int) -> str:
     return ".".join(parts)
 
 
+# Symbols an atom may be written with and no brackets.
+_BARE_SYMBOLS = frozenset(ORGANIC_SUBSET + AROMATIC_SUBSET)
+
+
 def _atom_text(g: MolGraph, i: int) -> str:
+    """Atom ``i`` bare when that form implies all it carries, else bracketed
+    (no atom map: the graph keeps none)."""
     atom = g.atoms[i]
     symbol = atom.element.lower() if atom.aromatic else atom.element
-    if bare_form_allowed(symbol, atom.charge, atom.isotope, atom.chirality):
+    if (
+        symbol in _BARE_SYMBOLS
+        and atom.charge == 0
+        and atom.isotope is None
+        and atom.chirality is None
+    ):
         if atom.hcount is None:
             return symbol
         fill = bare_hydrogen_fill(atom.element, atom.aromatic, _order_sum(g, i))

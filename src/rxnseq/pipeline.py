@@ -21,12 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import smiles
-from .molgraph import (
-    _CANON_CACHE_SIZE,
-    GraphError,
-    canonical_from_string,
-    parse_string,
-)
+from .molgraph import _CANON_CACHE_SIZE, GraphError, canonical_from_string, strip_atom_maps
+
+# parse_string stays importable here: perfbench's traced run wraps it.
+from .molgraph import parse_string  # noqa: F401
 from .smiles import SmilesError
 
 log = logging.getLogger(__name__)
@@ -169,28 +167,25 @@ class RejectReport:
 
 @functools.lru_cache(maxsize=_CANON_CACHE_SIZE)
 def _stripped_molecule(molecule: str) -> str:
-    """``molecule`` with its atom maps stripped, once the result is known to parse.
+    """``molecule`` with its atom maps stripped, read in one parse.
 
     Memoized, so a molecule repeated across lines is read once.  Failures
     are raised again on every call as :class:`UnparseableMolecule`; only
     results are remembered.  Canonicalizing is left to ``normalize``.
     """
     try:
-        stripped = smiles.strip_atom_maps_text(molecule)
-        parse_string(stripped)
+        return strip_atom_maps(molecule)
     except (SmilesError, GraphError) as exc:
         raise UnparseableMolecule(molecule, str(exc)) from exc
-    return stripped
 
 
 def ingest_lines(lines: Iterable[str]) -> tuple[list[ReactionRecord], RejectReport]:
     """Strip atom maps, then filter on character lengths and product count.
 
-    Maps are stripped one molecule at a time, which gives the text stripping
-    the whole line would: only a ring bond or branch spanning '.' or '>' ties
-    a molecule to its neighbours, and such a molecule does not parse alone.
-    A line that does not split into three parts, or with a molecule that
-    cannot be parsed, is a parse failure, logged and skipped, never fatal.
+    Maps are stripped one molecule at a time; a ring bond or branch that
+    spans '.' or '>' leaves a molecule that does not parse alone.  A line
+    that does not split into three parts, or with a molecule that cannot be
+    parsed, is a parse failure, logged and skipped, never fatal.
 
     The source length covers everything before the second '>' (the first '>'
     counts as a character); the product length everything after it.  Both

@@ -1,24 +1,22 @@
-"""Lexing and low-level string surgery for SMILES and reaction SMILES.
+"""Lexing and structure checking for SMILES and reaction SMILES.
 
 The lexer splits a string into atom, bond, branch, ring-closure, dot and
 (for reaction strings) ``>`` separator tokens.  Structure checking lives in
 :func:`validate`, which never raises: it returns a list of positioned
 failures so callers can score malformed model output instead of crashing
-on it.  :func:`strip_atom_maps` removes atom-map labels and collapses
-brackets that the removal makes redundant.
+on it.
 
 Every grammar decision about bonds is made once, in :func:`_assemble`,
-which molecule graphs, template patterns and map stripping all build on:
-a bond written without a symbol is aromatic (``:``) between two aromatic
-atoms and single (``-``) otherwise, so every bond it returns carries an
-explicit symbol.
+which molecule graphs and template patterns both build on: a bond written
+without a symbol is aromatic (``:``) between two aromatic atoms and single
+(``-``) otherwise, so every bond it returns carries an explicit symbol.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "AROMATIC_SUBSET",
@@ -37,12 +35,10 @@ __all__ = [
     "ValidationFailure",
     "ValidationKind",
     "ValidationResult",
-    "bare_form_allowed",
     "bare_hydrogen_fill",
     "detokenize",
     "format_bracket",
     "split_reaction",
-    "strip_atom_maps",
     "tokenize",
     "validate",
 ]
@@ -67,7 +63,6 @@ VALENCES: dict[str, tuple[int, ...]] = {
 }
 
 _BOND_ORDER_VALUE = {"-": 1, "=": 2, "#": 3, ":": 1, "/": 1, "\\": 1}
-_BARE_SYMBOLS = frozenset(ORGANIC_SUBSET + AROMATIC_SUBSET)
 
 
 class SmilesError(ValueError):
@@ -496,17 +491,6 @@ def validate(tokens: TokenSequence) -> ValidationResult:
     return _structure(tokens)[2]
 
 
-def bare_form_allowed(
-    symbol: str, charge: int, isotope: int | None, chirality: str | None
-) -> bool:
-    """Whether an atom written ``symbol`` (lower case when aromatic) may drop
-    its brackets, its hydrogen count aside: neutral, no isotope or chirality,
-    and in the organic or aromatic subset."""
-    return (
-        charge == 0 and isotope is None and chirality is None and symbol in _BARE_SYMBOLS
-    )
-
-
 def bare_hydrogen_fill(
     element: str, aromatic: bool, bond_order_sum: int
 ) -> int | None:
@@ -522,54 +506,3 @@ def bare_hydrogen_fill(
     if need > ladder[-1]:
         return None
     return min(v for v in ladder if v >= need) - need
-
-
-def strip_atom_maps(tokens: TokenSequence) -> TokenSequence:
-    """Drop atom-map labels; collapse brackets the removal leaves redundant.
-
-    A bracket atom is rewritten as a bare atom when it carries no isotope,
-    chirality or charge, its element has a bare form, and its explicit
-    hydrogen count equals what the bare atom would receive from valence
-    fill in its bonding context.  On structurally broken input the maps
-    are still dropped but no bracket is collapsed.
-    """
-    atom_events, bonds, failures = _assemble(_events(tokens))
-    # empty reaction parts (">>") surface as dot-placement flags; they do
-    # not disturb the bond context, so brackets may still collapse
-    simplifiable = all(f.kind is ValidationKind.MISPLACED_DOT for f in failures)
-
-    order_sum = [0] * len(atom_events)
-    for bond in bonds:
-        value = _BOND_ORDER_VALUE[bond.symbol]
-        order_sum[bond.a] += value
-        order_sum[bond.b] += value
-    ordinal_of_token = {tok_i: k for k, tok_i in enumerate(atom_events)}
-
-    out: list[Token] = []
-    for i, t in enumerate(tokens):
-        if t.kind is not TokenKind.BRACKET_ATOM:
-            out.append(t)
-            continue
-        assert t.bracket is not None
-        fields = replace(t.bracket, atom_map=None)
-        if simplifiable and bare_form_allowed(
-            fields.element, fields.charge, fields.isotope, fields.chirality
-        ):
-            fill = bare_hydrogen_fill(
-                fields.element, fields.aromatic, order_sum[ordinal_of_token[i]]
-            )
-            if fill is not None and fill == fields.hcount:
-                kind = (
-                    TokenKind.AROMATIC_ATOM
-                    if fields.aromatic
-                    else TokenKind.ORGANIC_ATOM
-                )
-                out.append(Token(kind, fields.element))
-                continue
-        out.append(Token(TokenKind.BRACKET_ATOM, format_bracket(fields), fields))
-    return out
-
-
-def strip_atom_maps_text(text: str) -> str:
-    """String-level convenience: tokenize, strip maps, render back."""
-    return detokenize(strip_atom_maps(tokenize(text)))

@@ -10,6 +10,8 @@ import logging
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -494,6 +496,25 @@ class TestPredict:
         assert code == 1
         assert "the checkpoint expects" in capsys.readouterr().err
 
+    # Rewrites of a vocabulary sidecar's lines that Vocab.load refuses.
+    CORRUPT_SIDECARS = {
+        "duplicated token": lambda lines: lines[:1] + lines,
+        "pad line": lambda lines: ["<pad>\n"] + lines[1:],
+        "blank line": lambda lines: ["\n"] + lines[1:],
+    }
+
+    @pytest.mark.parametrize("corrupt", CORRUPT_SIDECARS.values(), ids=CORRUPT_SIDECARS.keys())
+    def test_corrupt_vocab_sidecar_is_input_error_naming_it(
+        self, trained, tmp_path, capsys, corrupt
+    ):
+        _, _, checkpoint = trained
+        copy = copy_checkpoint(checkpoint, tmp_path)
+        sidecar = tmp_path / f"{copy.name}.output-vocab"
+        sidecar.write_text("".join(corrupt(sidecar.read_text().splitlines(keepends=True))))
+        code = main(["predict", "--checkpoint", str(copy), "--input", "C=C.Cl>>"])
+        assert code == 1
+        assert f"error: {sidecar}: " in capsys.readouterr().err
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         code = main(
             ["predict", "--checkpoint", str(tmp_path / "no.rxs2"), "--input", ">>"]
@@ -698,3 +719,57 @@ def test_failed_rename_leaves_the_old_file(trained, tmp_path, monkeypatch, write
     assert status == 1
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def not_utf8_commands(root, data, checkpoint, bad):
+    """One argv per command input, each naming ``bad`` for that input."""
+    shipped = Path(pipeline.__file__).parent / "data"
+    model = ["--checkpoint", str(checkpoint)]
+    return {
+        "ingest --data": ["ingest", "--data", str(bad), "--out", str(root / "o.rsmi")],
+        "split --data": ["split", "--data", str(bad), "--out", str(root / "splits")],
+        "train --data": ["train", "--data", str(bad), "--out", str(root / "m.rxs2")],
+        "train --config": ["train", "--data", str(data), "--config", str(bad),
+                           "--out", str(root / "m.rxs2")],
+        "eval --data": ["eval", *model, "--data", str(bad)],
+        "predict --data": ["predict", *model, "--data", str(bad)],
+        "gen --templates": ["gen", "--templates", str(bad), "--substrates",
+                            str(shipped / "substrates.smi"), "--out", str(root / "g.rsmi")],
+        "gen --substrates": ["gen", "--templates", str(shipped / "templates.txt"),
+                             "--substrates", str(bad), "--out", str(root / "g.rsmi")],
+        "vocab sidecar": ["predict", *model, "--input", "C=C.Cl>>"],
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["ingest --data", "split --data", "train --data", "train --config", "eval --data",
+     "predict --data", "gen --templates", "gen --substrates", "vocab sidecar"],
+)
+def test_input_that_is_not_utf8_is_input_error(trained, tmp_path, capsys, command):
+    _, data, checkpoint = trained
+    checkpoint = copy_checkpoint(checkpoint, tmp_path)
+    bad = tmp_path / "bad.txt"
+    if command == "vocab sidecar":
+        bad = Path(f"{checkpoint}.input-vocab")
+    bad.write_bytes(b"C=C.Cl>>CC\xffCl\n")
+    argv = not_utf8_commands(tmp_path, data, checkpoint, bad)[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad} is not UTF-8 text" in err
+    assert "internal error" not in err
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # RXNSEQ_THREADS can size numpy's thread pools only before numpy loads.
+    code = "import sys, rxnseq.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

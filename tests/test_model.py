@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -626,6 +627,22 @@ class TestCheckpoint:
         assert data.count(old) == 1
         path.write_bytes(data.replace(old, new))
         with pytest.raises(ConfigMismatch):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ModelConfig)]
+    )
+    def test_missing_config_key_is_config_mismatch(self, tmp_path, name):
+        path = tmp_path / "model.rxs2"
+        save_checkpoint(init_model(tiny_config()), path)
+        data = path.read_bytes()
+        (length,) = struct.unpack("<I", data[8:12])
+        lines = data[12 : 12 + length].splitlines(keepends=True)
+        config = b"".join(x for x in lines if not x.startswith(f"{name}=".encode()))
+        assert len(config) < length
+        rest = data[12 + length :]
+        path.write_bytes(data[:8] + struct.pack("<I", len(config)) + config + rest)
+        with pytest.raises(ConfigMismatch, match=name):
             load_checkpoint(path)
 
     def test_oversized_config_is_config_mismatch(self, tmp_path):

@@ -19,9 +19,10 @@ from rxnseq.molgraph import (
     morgan_fingerprint,
     parse_string,
     random_smiles,
+    strip_atom_maps,
     tanimoto,
 )
-from rxnseq.smiles import strip_atom_maps_text, tokenize
+from rxnseq.smiles import tokenize
 from rxnseq.molgraph import parse_graph
 
 
@@ -234,8 +235,8 @@ def corpus_molecules() -> list[str]:
     molecules = set()
     for line in lines:
         if line.strip():
-            for part in strip_atom_maps_text(line.strip()).split(">"):
-                molecules.update(m for m in part.split(".") if m)
+            for part in line.strip().split(">"):
+                molecules.update(strip_atom_maps(m) for m in part.split(".") if m)
     return sorted(molecules)
 
 

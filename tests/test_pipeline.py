@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import rxnseq
-from rxnseq import pipeline, smiles
-from rxnseq.molgraph import canonical_from_string, parse_string
+from rxnseq import molgraph, pipeline, smiles
+from rxnseq.molgraph import canonical_from_string, parse_graph
 from rxnseq.pipeline import (
     DEFAULT_BUCKETS,
     EOS_ID,
@@ -127,102 +127,143 @@ class TestIngestFilters:
         assert r.source is RecordSource.INGESTED
 
     def test_lengths_measured_after_strip(self):
-        # Mapped form is 169 characters, stripped form 129: accepted.
+        # Mapped source is 153 characters, stripped source 30: accepted.
         mapped = ".".join("[CH3:%d][CH3:%d]" % (i, i + 1) for i in range(1, 11))
         line = mapped + ">>CC"
         assert len(line.split(">")[0]) > 150
-        assert len(smiles.strip_atom_maps_text(mapped)) <= 150
-        self.accept(line)
+        assert self.accept(line).smiles() == ".".join(["CC"] * 10) + ">>CC"
 
     def test_blank_and_comment_lines_ignored(self):
         records, report = ingest_lines(["", "   ", "# header", "C>>C"])
         assert report.total == 1
         assert len(records) == 1
 
-    # One crafted line per report category and per broken shape.
+    # One crafted line per report category and per broken shape, with the
+    # reason a parse failure is logged with.
     OUTCOMES = {
-        "accepted": ("accepted", "[CH2:1]=[CH2:2].[ClH:3]>>[CH3:1][CH2:2][Cl:3]"),
-        "source too long": ("source_too_long", "C" * 151 + ">>C"),
-        "products too long": ("products_too_long", "C>>" + "C" * 81),
-        "too many products": ("too_many_products", "CCCO>>C.C.C.O"),
-        "bad token": ("parse_failures", "CC>>C$C"),
-        "unclosed ring": ("parse_failures", "C1CC>>C"),
-        "ring bond across '.'": ("parse_failures", "C1.C1>>C"),
-        "mapped ring bond across '.'": ("parse_failures", "[CH3:1]1.[CH3:2]1>>CC"),
-        "ring bond across '>'": ("parse_failures", "CC1>>C1"),
-        "branch across '.'": ("parse_failures", "C(C.C)C>>C"),
-        "branch across '>'": ("parse_failures", "C(C>>C)C"),
-        "empty molecule": ("parse_failures", "C..C>>C"),
-        "one '>'": ("parse_failures", "CCO>CC"),
-        "three '>'": ("parse_failures", "C>C>C>C"),
+        "accepted": ("accepted", "[CH2:1]=[CH2:2].[ClH:3]>>[CH3:1][CH2:2][Cl:3]", None),
+        "source too long": ("source_too_long", "C" * 151 + ">>C", None),
+        "products too long": ("products_too_long", "C>>" + "C" * 81, None),
+        "too many products": ("too_many_products", "CCCO>>C.C.C.O", None),
+        "bad token": (
+            "parse_failures",
+            "CC>>C$C",
+            # the position counts within the molecule the message names
+            "molecule 'C$C': unrecognized character ('$') at position 1",
+        ),
+        "unclosed ring": (
+            "parse_failures",
+            "C1CC>>C",
+            "molecule 'C1CC': structurally invalid token sequence: unpaired_ring_closure@1",
+        ),
+        "ring bond across '.'": (
+            "parse_failures",
+            "C1.C1>>C",
+            "molecule 'C1': structurally invalid token sequence: unpaired_ring_closure@1",
+        ),
+        "mapped ring bond across '.'": (
+            "parse_failures",
+            "[CH3:1]1.[CH3:2]1>>CC",
+            "molecule '[CH3:1]1': structurally invalid token sequence: "
+            "unpaired_ring_closure@1",
+        ),
+        "ring bond across '>'": (
+            "parse_failures",
+            "CC1>>C1",
+            "molecule 'CC1': structurally invalid token sequence: unpaired_ring_closure@2",
+        ),
+        "branch across '.'": (
+            "parse_failures",
+            "C(C.C)C>>C",
+            "molecule 'C(C': structurally invalid token sequence: unclosed_branch@2",
+        ),
+        "branch across '>'": (
+            "parse_failures",
+            "C(C>>C)C",
+            "molecule 'C(C': structurally invalid token sequence: unclosed_branch@2",
+        ),
+        "empty molecule": (
+            "parse_failures",
+            "C..C>>C",
+            "empty molecule in part 'C..C'",
+        ),
+        "one '>'": (
+            "parse_failures",
+            "CCO>CC",
+            "expected exactly two '>' separators, found 1",
+        ),
+        "three '>'": (
+            "parse_failures",
+            "C>C>C>C",
+            "expected exactly two '>' separators, found 3",
+        ),
     }
 
-    @pytest.mark.parametrize("category, line", OUTCOMES.values(), ids=OUTCOMES.keys())
-    def test_line_keeps_its_category(self, category, line, caplog):
+    @pytest.mark.parametrize(
+        "category, line, reason", OUTCOMES.values(), ids=OUTCOMES.keys()
+    )
+    def test_line_keeps_its_category(self, category, line, reason, caplog):
         caplog.set_level(logging.WARNING, logger="rxnseq.pipeline")
         records, report = ingest_lines(["# header", "", line])
         assert report == RejectReport(**{category: 1}), report.tsv()
         assert len(records) == (category == "accepted")
         logged = [r.getMessage() for r in caplog.records]
         if category == "parse_failures":
-            [message] = logged
-            assert message.startswith("line 3: skipped unparseable reaction: ")
-            if line == "CC>>C$C":
-                # the position counts within the molecule the message names
-                assert message.endswith(
-                    ": molecule 'C$C': unrecognized character ('$') at position 1"
-                )
+            assert logged == [f"line 3: skipped unparseable reaction: {reason}"]
         else:
             assert logged == []
 
     def test_batch_counts_each_category_and_logs_failures_by_line(self, caplog):
         caplog.set_level(logging.WARNING, logger="rxnseq.pipeline")
-        categories = [category for category, _ in self.OUTCOMES.values()]
-        records, report = ingest_lines([line for _, line in self.OUTCOMES.values()])
+        categories = [category for category, _, _ in self.OUTCOMES.values()]
+        records, report = ingest_lines([line for _, line, _ in self.OUTCOMES.values()])
         assert report == RejectReport(**Counter(categories))
         assert [r.smiles() for r in records] == ["C=C.Cl>>CCCl"]
         logged = [r.getMessage().split(":")[0] for r in caplog.records]
         failed = [i for i, c in enumerate(categories, start=1) if c == "parse_failures"]
         assert logged == [f"line {i}" for i in failed]
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "[CH3:1][CH2:2][OH:3].[NH3:4]>[Na+:5].[Cl-:6]>[CH3:1][CH2:2][NH2:4]",
-            "[cH:1]1[cH:2][cH:3][cH:4][cH:5][c:6]1[CH3:7]"
-            ">>[cH:1]1[cH:2][cH:3][cH:4][cH:5][c:6]1[CH2:7]Br",
-            "[NH4+:1].[CH2:2]=[O:3]>>[NH2:1][CH2:2][OH:3]",
-        ],
-    )
-    def test_mapped_line_strips_like_the_whole_line(self, line):
-        assert self.accept(line).smiles() == smiles.strip_atom_maps_text(line)
+    MAPPED_LINES = {
+        "[CH3:1][CH2:2][OH:3].[NH3:4]>[Na+:5].[Cl-:6]>[CH3:1][CH2:2][NH2:4]":
+            "CCO.N>[Na+].[Cl-]>CCN",
+        "[cH:1]1[cH:2][cH:3][cH:4][cH:5][c:6]1[CH3:7]"
+        ">>[cH:1]1[cH:2][cH:3][cH:4][cH:5][c:6]1[CH2:7]Br":
+            "c1ccccc1C>>c1ccccc1CBr",
+        "[NH4+:1].[CH2:2]=[O:3]>>[NH2:1][CH2:2][OH:3]": "[NH4+].C=O>>NCO",
+    }
 
-    def test_corpus_strips_like_whole_lines(self):
-        lines = CORPUS.read_text(encoding="utf-8").splitlines()
-        records, report = ingest_lines(lines)
-        assert report.accepted == len(lines) == len(records)
-        stripped = [smiles.strip_atom_maps_text(line) for line in lines]
-        assert [r.smiles() for r in records] == stripped
+    @pytest.mark.parametrize(
+        "line, expected", MAPPED_LINES.items(), ids=MAPPED_LINES.keys()
+    )
+    def test_mapped_line_strips_like_the_whole_line(self, line, expected):
+        assert self.accept(line).smiles() == expected
 
     def test_ingest_parses_each_distinct_molecule_once(self, monkeypatch):
-        parsed = Counter()
+        tokenized, parsed = Counter(), Counter()
+        tokenize = smiles.tokenize
 
-        def counting_parse(text):
-            parsed[text] += 1
-            return parse_string(text)
+        def counting_tokenize(text):
+            tokenized[text] += 1
+            return tokenize(text)
 
-        monkeypatch.setattr(pipeline, "parse_string", counting_parse)
+        def counting_parse(tokens):
+            parsed[smiles.detokenize(tokens)] += 1
+            return parse_graph(tokens)
+
+        for module in (smiles, molgraph):
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(molgraph, "parse_graph", counting_parse)
         pipeline._stripped_molecule.cache_clear()
         canonical_from_string.cache_clear()
         lines = CORPUS.read_text(encoding="utf-8").splitlines()[:200]
         records, _ = ingest_lines(lines)
         ingest_lines(lines)
-        # one parse per distinct molecule string as written, maps and all
+        assert len(records) == len(lines)
+        # one tokenize and one parse per distinct molecule string as written,
+        # maps and all
         written = [m for line in lines for part in line.split(">") if part for m in part.split(".")]
         assert len(set(written)) < len(written)
-        assert parsed == Counter(smiles.strip_atom_maps_text(m) for m in set(written))
-        kept = {m for r in records for m in r.reactants + r.reagents + r.products}
-        assert set(parsed) == kept
+        assert tokenized == parsed == Counter(set(written))
         # canonicalizing is normalize's job, not ingest's
         info = canonical_from_string.cache_info()
         assert info.hits + info.misses == 0
