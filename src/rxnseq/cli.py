@@ -299,7 +299,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    from .pipeline import ingest_file, write_atomic, write_reactions
+    from .pipeline import ingest_file, reactions_bytes, write_all_atomic
 
     _require_file(args.data, "data file")
     _require_writable(args.out, *([args.report] if args.report else []))
@@ -307,9 +307,10 @@ def cmd_ingest(args) -> int:
     with _reading(args.data):
         records, report = ingest_file(args.data)
     seconds = time.perf_counter() - began
-    write_reactions(records, args.out)
+    outputs = {args.out: reactions_bytes(records)}
     if args.report:
-        write_atomic(args.report, report.tsv().encode("utf-8"))
+        outputs[args.report] = report.tsv().encode("utf-8")
+    write_all_atomic(outputs)
     logger.info(
         "accepted %d of %d records in %.2f s, %.1f records/s",
         report.accepted,
@@ -321,7 +322,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_split(args) -> int:
-    from .pipeline import split_records, write_reactions
+    from .pipeline import reactions_bytes, split_records, write_all_atomic
 
     try:
         fractions = tuple(float(x) for x in args.fractions.split(","))
@@ -338,8 +339,7 @@ def cmd_split(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     parts = {out / "train.rsmi": train, out / "valid.rsmi": valid, out / "test.rsmi": test}
     _require_writable(*parts)
-    for path, part in parts.items():
-        write_reactions(part, path)
+    write_all_atomic({path: reactions_bytes(part) for path, part in parts.items()})
     logger.info(
         "split %d records into %d/%d/%d", len(records), len(train), len(valid), len(test)
     )

@@ -8,6 +8,7 @@ metrics, and exports attention matrices and embedding tables as CSV.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -15,14 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-# batch_loss and canonical_from_string stay importable here: perfbench's
-# traced run wraps them, and batch_loss is the per-record reference for the
-# cross-entropies evaluate reports.
+# batch_loss stays importable here: perfbench's traced run wraps it, and it
+# is the per-record reference for the cross-entropies evaluate reports.  The
+# traced run also wraps parse_string, canonical_from_string and
+# morgan_fingerprint at these names, so scoring calls them through this module.
 from .model import Model, batch_loss, evaluate_batch, predict_with_attention  # noqa: F401
-from .molgraph import (  # noqa: F401
+from .molgraph import (
+    _CANON_CACHE_SIZE,
+    Fingerprint,
     GraphError,
     canonical_from_string,
-    canonical_smiles,
     morgan_fingerprint,
     parse_string,
     tanimoto,
@@ -64,31 +67,41 @@ class PredictionScore:
     tanimoto: float
 
 
+@functools.lru_cache(maxsize=_CANON_CACHE_SIZE)
+def _fingerprint(text: str) -> Fingerprint:
+    """``morgan_fingerprint(parse_string(text))``, memoized on ``text``.
+
+    Errors are raised again on every call; only results are remembered.
+    """
+    return morgan_fingerprint(parse_string(text))
+
+
 def score_prediction(predicted: str, reference: str) -> PredictionScore:
     """Validity, canonical-multiset equality, and union-graph similarity.
 
     An unparseable (or empty) prediction scores (False, False, 0.0); the
-    reference must parse or the test set itself is broken.
+    reference must parse or the test set itself is broken.  Canonical forms
+    come from canonical_from_string's memo and fingerprints from one of the
+    same size, so each distinct string is canonicalized and fingerprinted at
+    most once per process.  An exact match has equal fingerprints, so it
+    scores Tanimoto 1.0 without fingerprinting.
     """
     if not reference:
         raise ReferenceInvalid("reference is empty")
     try:
-        ref_graph = parse_string(reference)
-        ref_canonical = canonical_smiles(ref_graph)
+        ref_canonical = canonical_from_string(reference)
     except (SmilesError, GraphError) as exc:
         raise ReferenceInvalid(f"reference {reference!r}: {exc}") from exc
     if not predicted:
         return PredictionScore(valid=False, exact=False, tanimoto=0.0)
     try:
-        pred_graph = parse_string(predicted)
-        pred_canonical = canonical_smiles(pred_graph)
+        pred_canonical = canonical_from_string(predicted)
     except (SmilesError, GraphError):
         return PredictionScore(valid=False, exact=False, tanimoto=0.0)
-    exact = pred_canonical == ref_canonical
-    similarity = tanimoto(
-        morgan_fingerprint(pred_graph), morgan_fingerprint(ref_graph)
-    )
-    return PredictionScore(valid=True, exact=exact, tanimoto=similarity)
+    if pred_canonical == ref_canonical:
+        return PredictionScore(valid=True, exact=True, tanimoto=1.0)
+    similarity = tanimoto(_fingerprint(predicted), _fingerprint(reference))
+    return PredictionScore(valid=True, exact=False, tanimoto=similarity)
 
 
 @dataclass(frozen=True)
@@ -141,6 +154,9 @@ def evaluate(
     largest decoder length, as in predict.  Predictions match predict (and so
     `rxnseq predict`) on each record, cross-entropies match batch_loss on each
     record alone to float32 roundoff, and rows come back in record order.
+    Each row is scored by score_prediction, whose memos canonicalize and
+    fingerprint each distinct reference or prediction string at most once,
+    however often it repeats across rows or calls.
     """
     if not records:
         raise EmptyTestset("no evaluation records")

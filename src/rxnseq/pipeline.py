@@ -14,7 +14,7 @@ import logging
 import os
 import random
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -257,15 +257,18 @@ class Vocab:
     """
 
     def __init__(self, tokens: Sequence[str]):
-        for token in tokens:
+        self._tokens = list(SPECIAL_TOKENS)
+        self._ids = {text: i for i, text in enumerate(self._tokens)}
+        # line counts regular tokens from 1, as the saved sidecar numbers them.
+        for line, token in enumerate(tokens, 1):
             if token in SPECIAL_TOKENS:
                 raise VocabError(f"token collides with a special: {token!r}")
             if not token or "\n" in token:
                 raise VocabError(f"unusable token text: {token!r}")
-        self._tokens = list(SPECIAL_TOKENS) + list(tokens)
-        self._ids = {text: i for i, text in enumerate(self._tokens)}
-        if len(self._ids) != len(self._tokens):
-            raise VocabError("duplicate token")
+            if token in self._ids:
+                raise VocabError(f"duplicate token {token!r} on line {line}")
+            self._ids[token] = len(self._tokens)
+            self._tokens.append(token)
 
     @classmethod
     def from_counts(cls, counts: Counter[str]) -> "Vocab":
@@ -484,21 +487,35 @@ def split_records(
     )
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write data to a temp file beside path, then rename it onto path, so a
-    killed writer leaves the old file or the new one, never a truncated one."""
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def write_all_atomic(files: Mapping[str | Path, bytes]) -> None:
+    """Write every file's data to a temp file beside it, then rename each temp
+    onto its path, so a failed write leaves every old file in place and a
+    killed writer leaves each file old or new, never truncated."""
+    temps = {
+        Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp"): path
+        for path in files
+    }
     try:
-        temp.write_bytes(data)
-        os.replace(temp, path)
+        for temp, path in temps.items():
+            temp.write_bytes(files[path])
+        for temp, path in temps.items():
+            os.replace(temp, path)
     finally:
-        temp.unlink(missing_ok=True)
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    write_all_atomic({path: data})
+
+
+def reactions_bytes(records: Iterable[ReactionRecord]) -> bytes:
+    """One reaction SMILES line per record, as write_reactions writes them."""
+    return "".join(record.smiles() + "\n" for record in records).encode("utf-8")
 
 
 def write_reactions(records: Iterable[ReactionRecord], path: str | Path) -> None:
-    body = "".join(record.smiles() + "\n" for record in records)
-    write_atomic(path, body.encode("utf-8"))
+    write_atomic(path, reactions_bytes(records))
 
 
 def read_reactions(

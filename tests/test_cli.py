@@ -288,6 +288,30 @@ class TestIngestAndSplit:
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_failed_split_write_keeps_every_old_file(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.rsmi"
+        lines = [f"{'C' * n}=C.Cl>>{'C' * n}CCCl" for n in range(1, 21)]
+        data.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "out"
+        argv = ["split", "--data", str(data), "--out", str(out), "--seed"]
+        assert main(argv + ["3"]) == 0
+        names = ("train.rsmi", "valid.rsmi", "test.rsmi")
+        old = {name: (out / name).read_bytes() for name in names}
+        write_bytes = Path.write_bytes
+
+        def disk_full(path, data):
+            if path.name.startswith(".test.rsmi."):
+                raise OSError(28, "No space left on device")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
+        assert main(argv + ["4"]) == 1
+        assert {name: (out / name).read_bytes() for name in names} == old
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        monkeypatch.undo()
+        assert main(argv + ["4"]) == 0
+        assert all((out / name).read_bytes() != old[name] for name in names)
+
     def test_split_rejects_bad_fractions(self, tmp_path, capsys):
         data = tmp_path / "data.rsmi"
         data.write_text("C=C.Cl>>CCCl\n")
@@ -496,24 +520,31 @@ class TestPredict:
         assert code == 1
         assert "the checkpoint expects" in capsys.readouterr().err
 
-    # Rewrites of a vocabulary sidecar's lines that Vocab.load refuses.
+    # Rewrites of a vocabulary sidecar's lines that Vocab.load refuses, each
+    # with what the message must say beyond the sidecar's path.
     CORRUPT_SIDECARS = {
-        "duplicated token": lambda lines: lines[:1] + lines,
-        "pad line": lambda lines: ["<pad>\n"] + lines[1:],
-        "blank line": lambda lines: ["\n"] + lines[1:],
+        "duplicated token": (
+            lambda lines: lines[:1] + lines,
+            lambda lines: f"duplicate token {lines[0].rstrip()!r} on line 2",
+        ),
+        "pad line": (lambda lines: ["<pad>\n"] + lines[1:], lambda lines: ""),
+        "blank line": (lambda lines: ["\n"] + lines[1:], lambda lines: ""),
     }
 
-    @pytest.mark.parametrize("corrupt", CORRUPT_SIDECARS.values(), ids=CORRUPT_SIDECARS.keys())
+    @pytest.mark.parametrize(
+        "corrupt, reason", CORRUPT_SIDECARS.values(), ids=CORRUPT_SIDECARS.keys()
+    )
     def test_corrupt_vocab_sidecar_is_input_error_naming_it(
-        self, trained, tmp_path, capsys, corrupt
+        self, trained, tmp_path, capsys, corrupt, reason
     ):
         _, _, checkpoint = trained
         copy = copy_checkpoint(checkpoint, tmp_path)
         sidecar = tmp_path / f"{copy.name}.output-vocab"
-        sidecar.write_text("".join(corrupt(sidecar.read_text().splitlines(keepends=True))))
+        lines = sidecar.read_text().splitlines(keepends=True)
+        sidecar.write_text("".join(corrupt(lines)))
         code = main(["predict", "--checkpoint", str(copy), "--input", "C=C.Cl>>"])
         assert code == 1
-        assert f"error: {sidecar}: " in capsys.readouterr().err
+        assert f"error: {sidecar}: {reason(lines)}" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         code = main(

@@ -3,15 +3,17 @@
 import csv
 import functools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from rxnseq import evaluation
+from rxnseq import evaluation, molgraph
 from rxnseq.cli import main
 from rxnseq.evaluation import (
     EmptyTestset,
     EvalReport,
+    ExampleRow,
     ReferenceInvalid,
     evaluate,
     export_attention,
@@ -28,15 +30,25 @@ from rxnseq.model import (
     predict,
     save_checkpoint,
 )
+from rxnseq.molgraph import (
+    GraphError,
+    canonical_smiles,
+    morgan_fingerprint,
+    parse_string,
+    tanimoto,
+)
 from rxnseq.pipeline import (
     BucketSpec,
+    Vocab,
     build_vocabs,
     encode_example,
     encode_source,
     normalize,
     parse_record,
     source_string,
+    target_string,
 )
+from rxnseq.smiles import SmilesError, tokenize
 
 
 def small_records():
@@ -162,6 +174,185 @@ class TestScorePrediction:
     def test_empty_reference_raises(self):
         with pytest.raises(ReferenceInvalid):
             score_prediction("CC", "")
+
+
+def oracle_score(predicted, reference):
+    """score_prediction's contract, computed from scratch with no memo."""
+    ref_graph = parse_string(reference)
+    ref_canonical = canonical_smiles(ref_graph)
+    if not predicted:
+        return False, False, 0.0
+    try:
+        pred_graph = parse_string(predicted)
+        pred_canonical = canonical_smiles(pred_graph)
+    except (SmilesError, GraphError):
+        return False, False, 0.0
+    similarity = tanimoto(morgan_fingerprint(pred_graph), morgan_fingerprint(ref_graph))
+    return True, pred_canonical == ref_canonical, similarity
+
+
+# (reaction, prediction) pairs: repeated predictions, an invalid one repeated
+# in one batch, an overvalent one, an empty one, multi-product references,
+# and exact matches written in another rendering.
+SCORED = [
+    ("C=C.Cl>>CCCl", "ClCC"),
+    ("C=C.Br>>CCBr", "CCCl"),
+    ("C=C.O>>CCO", "CCO"),
+    ("C=CC.O>>CC(C)O", "CCO"),
+    ("CCC=C.O>>CCCCO", "CCO"),
+    ("C=CC.Cl>>CC(C)Cl", "C(C"),
+    ("C=CC.Br>>CC(C)Br", "C(C"),
+    ("CCC=C.Br>>CCCCBr", "C(C)(C)(C)(C)C"),
+    ("C=C.I>>CCI", ""),
+    ("CC(=O)OC.O>>CC(=O)O.CO", "OC.OC(C)=O"),
+    ("CC(=O)OCC.O>>CC(=O)O.CCO", "CC(=O)O"),
+    ("CC(=O)OC.O>O>CC(=O)O.CO", "CC(=O)O.CO"),
+    ("C=C.OO>>OCCO", "OCCO"),
+]
+
+
+@functools.cache
+def scored_fixture():
+    """Records, and a model whose batched decode returns SCORED's predictions."""
+    records = [normalize(parse_record(line)) for line, _ in SCORED]
+    input_vocab, _ = build_vocabs(records)
+    texts = [target_string(r) for r in records] + [p for _, p in SCORED]
+    output_vocab = Vocab(sorted({t.text for text in texts for t in tokenize(text)}))
+    buckets = BucketSpec(((24, 24),))
+    config = ModelConfig(
+        input_vocab_size=len(input_vocab),
+        output_vocab_size=len(output_vocab),
+        num_layers=1,
+        embedding_dim=4,
+        hidden_dim=4,
+        buckets=buckets,
+    )
+    model = init_model(config)
+    predicted_for = {
+        tuple(encode_source(source_string(r), input_vocab, buckets)[0]): p
+        for r, (_, p) in zip(records, SCORED)
+    }
+    assert len(predicted_for) == len(records)
+    return model, records, input_vocab, output_vocab, predicted_for
+
+
+class TestScoringMemo:
+    """evaluate scores through canonical_from_string's memo and a fingerprint
+    memo; its rows must equal a memo-free oracle's."""
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        model, records, input_vocab, output_vocab, predicted_for = scored_fixture()
+
+        def decoded(model, enc_ids, dec_ids):
+            predictions = [
+                [output_vocab.id_of(t.text) for t in tokenize(predicted_for[tuple(row)])]
+                for row in enc_ids.tolist()
+            ]
+            return predictions, np.arange(len(predictions), dtype=np.float32) / 8
+
+        monkeypatch.setattr(evaluation, "EVAL_BATCH_SIZE", 4)
+        monkeypatch.setattr(evaluation, "evaluate_batch", decoded)
+        return model, records, input_vocab, output_vocab
+
+    def test_rows_and_summary_equal_the_oracle(self, scored):
+        model, records, input_vocab, output_vocab = scored
+        intended = {source_string(r): p for r, (_, p) in zip(records, SCORED)}
+        for order in (records, records[::-1], records[1::2] + records[::2]):
+            report = evaluate(model, order, input_vocab, output_vocab)
+            rows = []
+            for row in report.rows:
+                record = order[row.index]
+                predicted = intended[source_string(record)]
+                valid, exact, similarity = oracle_score(predicted, target_string(record))
+                rows.append(
+                    ExampleRow(
+                        index=row.index,
+                        source=source_string(record),
+                        reference=target_string(record),
+                        predicted=predicted,
+                        valid=valid,
+                        exact=exact,
+                        tanimoto=similarity,
+                        cross_entropy=row.cross_entropy,
+                    )
+                )
+            assert [r.index for r in rows] == list(range(len(order)))
+            assert {(r.valid, r.exact) for r in rows} == {
+                (True, True), (True, False), (False, False)
+            }
+            assert report.rows == tuple(rows)
+            n = len(rows)
+            assert report.summary() == {
+                "n": n,
+                "correct_ratio": sum(r.exact for r in rows) / n,
+                "mean_tanimoto": sum(r.tanimoto for r in rows) / n,
+                "invalid_ratio": sum(not r.valid for r in rows) / n,
+                "mean_cross_entropy": sum(r.cross_entropy for r in rows) / n,
+                "skipped": 0,
+            }
+
+    def test_each_distinct_string_is_canonicalized_and_fingerprinted_once(
+        self, scored, monkeypatch
+    ):
+        model, records, input_vocab, output_vocab = scored
+        molgraph.canonical_from_string.cache_clear()
+        evaluation._fingerprint.cache_clear()
+        canonicalized, fingerprinted = Counter(), Counter()
+        calls = Counter()
+
+        def counting(module, name, seen=None):
+            original = getattr(module, name)
+
+            def wrapper(arg):
+                calls[name] += 1
+                if seen is not None:
+                    seen[arg] += 1
+                return original(arg)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        # canonical_from_string parses through molgraph's name, the
+        # fingerprint memo through evaluation's.
+        counting(molgraph, "parse_string", canonicalized)
+        counting(molgraph, "canonical_smiles")
+        counting(evaluation, "parse_string", fingerprinted)
+        counting(evaluation, "morgan_fingerprint")
+        report = evaluate(model, records, input_vocab, output_vocab)
+        strings = {s for r in report.rows for s in (r.reference, r.predicted) if s}
+        invalid = Counter(r.predicted for r in report.rows if r.predicted and not r.valid)
+        assert set(canonicalized) == strings
+        # Each valid string is read once; an invalid one on every row.
+        assert canonicalized == Counter(strings) + Counter(
+            {s: n - 1 for s, n in invalid.items()}
+        )
+        assert calls["canonical_smiles"] <= len(strings)
+        scored_pairs = [r for r in report.rows if r.valid and not r.exact]
+        assert set(fingerprinted) == {
+            s for r in scored_pairs for s in (r.reference, r.predicted)
+        }
+        assert max(fingerprinted.values()) == 1
+        assert calls["morgan_fingerprint"] == len(fingerprinted)
+        counts = dict(calls)
+        again = evaluate(model, records, input_vocab, output_vocab)
+        assert again == report
+        # Only the invalid strings are read again: errors are never remembered.
+        assert calls["parse_string"] == counts["parse_string"] + invalid.total()
+        assert calls["canonical_smiles"] == counts["canonical_smiles"]
+        assert calls["morgan_fingerprint"] == counts["morgan_fingerprint"]
+
+    def test_errors_are_raised_on_every_call(self, scored):
+        model, records, input_vocab, output_vocab = scored
+        report = evaluate(model, records, input_vocab, output_vocab)
+        invalid = [r for r in report.rows if r.predicted == "C(C"]
+        assert len(invalid) == 2
+        for row in invalid:
+            assert (row.valid, row.exact, row.tanimoto) == (False, False, 0.0)
+        for _ in range(3):
+            with pytest.raises(ReferenceInvalid):
+                score_prediction("CC", "C(C")
+            with pytest.raises((SmilesError, GraphError)):
+                evaluation._fingerprint("C(C")
 
 
 class TestEvaluate:
