@@ -297,8 +297,8 @@ class Vocab:
         return list(self._tokens)
 
     def save(self, path: str | Path) -> None:
-        # One regular token per line; line number = id - 4.  Specials are
-        # implicit so the file stays a plain token list.
+        # One regular token per line; line number = id - 3, counting from 1.
+        # Specials are implicit so the file stays a plain token list.
         body = "".join(token + "\n" for token in self._tokens[len(SPECIAL_TOKENS):])
         write_atomic(path, body.encode("utf-8"))
 
