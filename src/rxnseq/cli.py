@@ -347,13 +347,13 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .model import ModelConfig, NonFiniteLoss, fit, init_model, save_checkpoint
+    from .model import ModelConfig, NonFiniteLoss, checkpoint_bytes, fit, init_model
     from .pipeline import (
         BucketSpec,
         BucketSpecError,
-        TooLongForBuckets,
         build_vocabs,
         encode_example,
+        write_all_atomic,
     )
 
     cfg = _effective(args)
@@ -370,19 +370,9 @@ def cmd_train(args) -> int:
     if not records:
         raise InputError(f"{args.data}: no training records")
     input_vocab, output_vocab = build_vocabs(records)
-    examples = []
-    skipped = 0
-    for record in records:
-        try:
-            examples.append(
-                encode_example(record, input_vocab, output_vocab, buckets)
-            )
-        except TooLongForBuckets:
-            skipped += 1
-    if skipped:
-        logger.warning("%d records exceed the buckets and were skipped", skipped)
-    if not examples:
-        raise InputError("every record exceeds the buckets")
+    examples = [
+        encode_example(record, input_vocab, output_vocab, buckets) for record in records
+    ]
     try:
         config = ModelConfig(
             input_vocab_size=len(input_vocab),
@@ -409,10 +399,14 @@ def cmd_train(args) -> int:
     except NonFiniteLoss as exc:
         raise InputError(f"training diverged: {exc}") from exc
     seconds = time.perf_counter() - began
-    save_checkpoint(model, args.out)
     input_path, output_path = _vocab_paths(args.out)
-    input_vocab.save(input_path)
-    output_vocab.save(output_path)
+    write_all_atomic(
+        {
+            args.out: checkpoint_bytes(model),
+            input_path: input_vocab.sidecar_bytes(),
+            output_path: output_vocab.sidecar_bytes(),
+        }
+    )
     logger.info(
         "trained %d steps on %d examples in %.2f s, %.1f steps/s; "
         "first loss %.4f, last loss %.4f",
@@ -430,13 +424,11 @@ def _predict_one(model, input_vocab, output_vocab, source: str) -> str:
     import numpy as np
 
     from .model import predict
-    from .pipeline import TooLongForBuckets, encode_source
+    from .pipeline import encode_source
     from .smiles import SmilesError
 
     try:
-        encoder_ids, _ = encode_source(source, input_vocab, model.config.buckets)
-    except TooLongForBuckets as exc:
-        raise InputError(f"input exceeds the buckets: {source!r}") from exc
+        encoder_ids = encode_source(source, input_vocab, model.config.buckets)
     except SmilesError as exc:
         raise InputError(str(exc)) from exc
     ids = predict(model, np.array(encoder_ids))
@@ -469,7 +461,7 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     from .evaluation import (
-        EmptyTestset,
+        EvaluationError,
         evaluate,
         write_report_csv,
         write_report_json,
@@ -482,8 +474,8 @@ def cmd_eval(args) -> int:
     began = time.perf_counter()
     try:
         report = evaluate(model, records, input_vocab, output_vocab)
-    except EmptyTestset as exc:
-        raise InputError(str(exc)) from exc
+    except EvaluationError as exc:
+        raise InputError(f"{args.data}: {exc}") from exc
     seconds = time.perf_counter() - began
     logger.info(
         "evaluated %d records (%d skipped) in %.2f s, %.1f records/s",
@@ -501,14 +493,10 @@ def cmd_eval(args) -> int:
 
 def cmd_export_attention(args) -> int:
     from .evaluation import export_attention
-    from .pipeline import TooLongForBuckets
 
     model, input_vocab, output_vocab = _load_model_and_vocabs(args.checkpoint)
     source = _source_of(args.input)
-    try:
-        export_attention(model, source, input_vocab, output_vocab, args.out)
-    except TooLongForBuckets as exc:
-        raise InputError(f"input exceeds the buckets: {source!r}") from exc
+    export_attention(model, source, input_vocab, output_vocab, args.out)
     return 0
 
 

@@ -33,7 +33,6 @@ from .molgraph import (
 from .pipeline import (
     EncodedExample,
     ReactionRecord,
-    TooLongForBuckets,
     Vocab,
     encode_example,
     encode_source,
@@ -123,6 +122,8 @@ class EvalReport:
     mean_tanimoto: float
     invalid_ratio: float
     mean_cross_entropy: float
+    # Always 0, since every record is scored; report.json and perfbench's
+    # infer check still read it.
     skipped: int
     rows: tuple[ExampleRow, ...]
 
@@ -146,33 +147,29 @@ def evaluate(
     """Strip products, decode greedily, score each record, average.
 
     Records are encoded one by one with their references, which the
-    cross-entropy needs; those that fit no bucket are counted as skipped and
-    excluded from n.  The rest are grouped by bucket, which only sets the batch
-    shape because the model ignores PADs, and decoded in batches of
-    EVAL_BATCH_SIZE, one encoder pass per batch serving both the greedy decode
-    and the teacher-forced cross-entropy.  Every record decodes up to the
-    largest decoder length, as in predict.  Predictions match predict (and so
-    `rxnseq predict`) on each record, cross-entropies match batch_loss on each
-    record alone to float32 roundoff, and rows come back in record order.
-    Each row is scored by score_prediction, whose memos canonicalize and
-    fingerprint each distinct reference or prediction string at most once,
-    however often it repeats across rows or calls.
+    cross-entropy needs, and every record is scored: one longer than every
+    bucket is padded to its own lengths.  Records are grouped by padded
+    shape, which only sets the batch shape because the model ignores PADs,
+    and decoded in batches of EVAL_BATCH_SIZE, one encoder pass per batch
+    serving both the greedy decode and the teacher-forced cross-entropy.
+    Every record decodes up to the largest decoder length less one, as in
+    predict, so a longer reference scores as a miss.  Predictions match
+    predict (and so `rxnseq predict`) on each record, cross-entropies match
+    batch_loss on each record alone to float32 roundoff, and rows come back
+    in record order.  Each row is scored by score_prediction, whose memos
+    canonicalize and fingerprint each distinct reference or prediction string
+    at most once, however often it repeats across rows or calls.  A record
+    whose reference is invalid raises ReferenceInvalid naming the record.
     """
     if not records:
         raise EmptyTestset("no evaluation records")
-    by_bucket: dict[int, list[tuple[int, EncodedExample]]] = {}
-    skipped = 0
+    by_shape: dict[tuple[int, int], list[tuple[int, EncodedExample]]] = {}
     for index, record in enumerate(records):
-        try:
-            example = encode_example(
-                record, input_vocab, output_vocab, model.config.buckets
-            )
-        except TooLongForBuckets:
-            skipped += 1
-            continue
-        by_bucket.setdefault(example.bucket_index, []).append((index, example))
+        example = encode_example(record, input_vocab, output_vocab, model.config.buckets)
+        shape = (len(example.encoder_ids), len(example.decoder_ids))
+        by_shape.setdefault(shape, []).append((index, example))
     rows: list[ExampleRow] = []
-    for members in by_bucket.values():
+    for members in by_shape.values():
         for start in range(0, len(members), EVAL_BATCH_SIZE):
             chunk = members[start : start + EVAL_BATCH_SIZE]
             predictions, cross_entropies = evaluate_batch(
@@ -186,7 +183,10 @@ def evaluate(
                 record = records[index]
                 predicted = "".join(output_vocab.token_of(i) for i in ids)
                 reference = target_string(record)
-                score = score_prediction(predicted, reference)
+                try:
+                    score = score_prediction(predicted, reference)
+                except ReferenceInvalid as exc:
+                    raise ReferenceInvalid(f"record {record.smiles()!r}: {exc}") from exc
                 rows.append(
                     ExampleRow(
                         index=index,
@@ -199,8 +199,6 @@ def evaluate(
                         cross_entropy=float(cross_entropy),
                     )
                 )
-    if not rows:
-        raise EmptyTestset(f"all {skipped} records exceeded the buckets")
     rows.sort(key=lambda row: row.index)
     n = len(rows)
     return EvalReport(
@@ -209,7 +207,7 @@ def evaluate(
         mean_tanimoto=sum(r.tanimoto for r in rows) / n,
         invalid_ratio=sum(not r.valid for r in rows) / n,
         mean_cross_entropy=sum(r.cross_entropy for r in rows) / n,
-        skipped=skipped,
+        skipped=0,
         rows=tuple(rows),
     )
 
@@ -266,7 +264,7 @@ def export_attention(
     Column labels carry the encoder tokens exactly as fed (reversed, PAD
     prefix included), so each score/weight column names its position.
     """
-    encoder_ids, _ = encode_source(source, input_vocab, model.config.buckets)
+    encoder_ids = encode_source(source, input_vocab, model.config.buckets)
     _, records = predict_with_attention(model, np.array(encoder_ids))
     encoder_tokens = [input_vocab.token_of(i) for i in encoder_ids]
     buffer = io.StringIO(newline="")

@@ -780,7 +780,8 @@ def _config_from_bytes(block: bytes) -> ModelConfig:
         raise ConfigMismatch(f"bad config block: {exc}") from exc
 
 
-def save_checkpoint(model: Model, path: str | Path) -> None:
+def checkpoint_bytes(model: Model) -> bytes:
+    """The RXS2 file of ``model``, as save_checkpoint writes it."""
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
     buf += struct.pack("<I", CHECKPOINT_VERSION)
@@ -798,7 +799,11 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         for dim in data.shape:
             buf += struct.pack("<I", dim)
         buf += data.tobytes()
-    write_atomic(path, bytes(buf))
+    return bytes(buf)
+
+
+def save_checkpoint(model: Model, path: str | Path) -> None:
+    write_atomic(path, checkpoint_bytes(model))
 
 
 class _Reader:

@@ -72,16 +72,6 @@ class BucketSpecError(PipelineError):
     pass
 
 
-class TooLongForBuckets(PipelineError):
-    def __init__(self, encoder_len: int, decoder_len: int):
-        super().__init__(
-            f"sequence needs ({encoder_len}, {decoder_len}), "
-            "which exceeds the largest bucket"
-        )
-        self.encoder_len = encoder_len
-        self.decoder_len = decoder_len
-
-
 class RecordSource(enum.Enum):
     GENERATED = "generated"
     INGESTED = "ingested"
@@ -296,11 +286,15 @@ class Vocab:
         """All token texts in id order, specials included."""
         return list(self._tokens)
 
-    def save(self, path: str | Path) -> None:
+    def sidecar_bytes(self) -> bytes:
+        """The sidecar file, as save writes it."""
         # One regular token per line; line number = id - 3, counting from 1.
         # Specials are implicit so the file stays a plain token list.
         body = "".join(token + "\n" for token in self._tokens[len(SPECIAL_TOKENS):])
-        write_atomic(path, body.encode("utf-8"))
+        return body.encode("utf-8")
+
+    def save(self, path: str | Path) -> None:
+        write_atomic(path, self.sidecar_bytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
@@ -321,7 +315,11 @@ def build_vocabs(records: Sequence[ReactionRecord]) -> tuple[Vocab, Vocab]:
 
 @dataclass(frozen=True)
 class BucketSpec:
-    """Ascending (encoder_length, decoder_length) padding classes."""
+    """Ascending (encoder_length, decoder_length) padding classes.
+
+    A bucket only sets a batch's shape: the model ignores PADs.  Sequences
+    longer than the largest bucket are padded to their own lengths.
+    """
 
     pairs: tuple[tuple[int, int], ...] = ((54, 54), (70, 60), (90, 65), (150, 80))
 
@@ -353,21 +351,17 @@ class BucketSpec:
     def format(self) -> str:
         return ",".join(f"{enc}:{dec}" for enc, dec in self.pairs)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
     def __getitem__(self, index: int) -> tuple[int, int]:
         return self.pairs[index]
 
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def bucket_for(self, encoder_len: int, decoder_len: int = 0) -> int:
-        """Smallest bucket admitting both lengths."""
-        for index, (enc, dec) in enumerate(self.pairs):
+    def shape_for(self, encoder_len: int, decoder_len: int = 0) -> tuple[int, int]:
+        """The padded (encoder, decoder) shape of sequences of these lengths:
+        the smallest bucket holding both, or beyond the largest bucket the
+        lengths themselves."""
+        for enc, dec in self.pairs:
             if encoder_len <= enc and decoder_len <= dec:
-                return index
-        raise TooLongForBuckets(encoder_len, decoder_len)
+                return enc, dec
+        return encoder_len, decoder_len
 
 
 DEFAULT_BUCKETS = BucketSpec()
@@ -377,7 +371,6 @@ DEFAULT_BUCKETS = BucketSpec()
 class EncodedExample:
     encoder_ids: tuple[int, ...]
     decoder_ids: tuple[int, ...]
-    bucket_index: int
 
 
 def _encoder_ids(tokens, input_vocab: Vocab, encoder_len: int) -> tuple[int, ...]:
@@ -388,11 +381,10 @@ def _encoder_ids(tokens, input_vocab: Vocab, encoder_len: int) -> tuple[int, ...
 
 def encode_source(
     text: str, input_vocab: Vocab, buckets: BucketSpec = DEFAULT_BUCKETS
-) -> tuple[tuple[int, ...], int]:
-    """Encode a product-less input into the smallest bucket that holds it."""
+) -> tuple[int, ...]:
+    """Encode a product-less input, PAD-prefixed to its shape's encoder width."""
     tokens = smiles.tokenize(text)
-    index = buckets.bucket_for(len(tokens))
-    return _encoder_ids(tokens, input_vocab, buckets[index][0]), index
+    return _encoder_ids(tokens, input_vocab, buckets.shape_for(len(tokens))[0])
 
 
 def encode_example(
@@ -401,19 +393,19 @@ def encode_example(
     output_vocab: Vocab,
     buckets: BucketSpec = DEFAULT_BUCKETS,
 ) -> EncodedExample:
-    """Fixed-size id sequences: reversed PAD-prefixed source, GO..EOS target.
+    """Padded id sequences: reversed PAD-prefixed source, GO..EOS target.
 
-    Bucket lengths are measured in tokens (GO and EOS count); the ingest
-    filters measure characters.  Out-of-vocabulary tokens map to UNK.  The
-    model ignores PADs: the bucket only sets the batch shape.
+    Both are padded to buckets.shape_for their lengths, measured in tokens
+    (GO and EOS count; the ingest filters measure characters), so a record
+    longer than every bucket is padded to its own lengths.  Out-of-vocabulary
+    tokens map to UNK.  The model ignores PADs.
     """
     source = smiles.tokenize(source_string(record))
     products = smiles.tokenize(target_string(record))
     target = [GO_ID, *(output_vocab.id_of(t.text) for t in products), EOS_ID]
-    index = buckets.bucket_for(len(source), len(target))
-    encoder_len, decoder_len = buckets[index]
+    encoder_len, decoder_len = buckets.shape_for(len(source), len(target))
     decoder_ids = tuple(target) + (PAD_ID,) * (decoder_len - len(target))
-    return EncodedExample(_encoder_ids(source, input_vocab, encoder_len), decoder_ids, index)
+    return EncodedExample(_encoder_ids(source, input_vocab, encoder_len), decoder_ids)
 
 
 def decode_ids(ids: Sequence[int], vocab: Vocab) -> list[str]:
@@ -425,7 +417,6 @@ def decode_ids(ids: Sequence[int], vocab: Vocab) -> list[str]:
 
 @dataclass(frozen=True)
 class Batch:
-    bucket_index: int
     encoder: np.ndarray  # (batch, encoder_len) int64
     decoder: np.ndarray  # (batch, decoder_len) int64
 
@@ -439,27 +430,30 @@ def batch_iter(
     seed: int,
     epoch: int = 0,
 ) -> Iterator[Batch]:
-    """One epoch of same-bucket batches, shuffled deterministically.
+    """One epoch of same-shape batches, shuffled deterministically.
 
-    The shuffle depends on (seed, epoch) only, so replaying an epoch
-    reproduces the exact batch stream.
+    Examples are grouped by padded shape: a bucket is one group, and a record
+    longer than every bucket batches only with records of exactly its shape.
+    Groups are taken in ascending shape order, which is bucket order.  The
+    shuffle depends on (seed, epoch) only, so replaying an epoch reproduces
+    the exact batch stream.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    by_bucket: dict[int, list[EncodedExample]] = {}
+    by_shape: dict[tuple[int, int], list[EncodedExample]] = {}
     for example in examples:
-        by_bucket.setdefault(example.bucket_index, []).append(example)
+        shape = (len(example.encoder_ids), len(example.decoder_ids))
+        by_shape.setdefault(shape, []).append(example)
     rng = random.Random(seed * 1_000_003 + epoch)
-    slots: list[tuple[int, list[EncodedExample]]] = []
-    for bucket_index in sorted(by_bucket):
-        pool = list(by_bucket[bucket_index])
+    slots: list[list[EncodedExample]] = []
+    for shape in sorted(by_shape):
+        pool = list(by_shape[shape])
         rng.shuffle(pool)
         for start in range(0, len(pool), batch_size):
-            slots.append((bucket_index, pool[start : start + batch_size]))
+            slots.append(pool[start : start + batch_size])
     rng.shuffle(slots)
-    for bucket_index, group in slots:
+    for group in slots:
         yield Batch(
-            bucket_index=bucket_index,
             encoder=np.array([ex.encoder_ids for ex in group], dtype=np.int64),
             decoder=np.array([ex.decoder_ids for ex in group], dtype=np.int64),
         )

@@ -348,6 +348,31 @@ class TestTrain:
                 == checkpoint.with_name(checkpoint.name + suffix).read_bytes()
             )
 
+    def test_failed_train_write_keeps_every_old_file(self, tmp_path, monkeypatch):
+        data = tmp_path / "train.rsmi"
+        data.write_text(TRAIN_LINES)
+        out = tmp_path / "model.rxs2"
+        argv = ["train", "--data", str(data), "--out", str(out)] + TRAIN_FLAGS
+        argv += ["--steps", "5"]
+        assert main(argv) == 0
+        names = ("model.rxs2", "model.rxs2.input-vocab", "model.rxs2.output-vocab")
+        old = {name: (tmp_path / name).read_bytes() for name in names}
+        data.write_text(TRAIN_LINES + "C=C.I>>CCI\n")
+        write_bytes = Path.write_bytes
+
+        def disk_full(path, data):
+            if path.name.startswith(".model.rxs2.output-vocab."):
+                raise OSError(28, "No space left on device")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
+        assert main(argv) == 1
+        assert {name: (tmp_path / name).read_bytes() for name in names} == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(("train.rsmi", *names))
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert all((tmp_path / name).read_bytes() != old[name] for name in names)
+
     def test_final_line_reports_wall_time_and_steps_per_second(self, tmp_path, caplog):
         data = tmp_path / "train.rsmi"
         data.write_text(TRAIN_LINES)
@@ -477,17 +502,19 @@ class TestPredict:
             == 1
         )
 
-    def test_too_long_input_is_input_error(self, trained, capsys):
+    def test_input_beyond_every_bucket_is_predicted_and_exported(
+        self, trained, tmp_path, capsys
+    ):
         _, _, checkpoint = trained
-        code = main(
-            [
-                "predict",
-                "--checkpoint", str(checkpoint),
-                "--input", "C" * 40 + ">>",
-            ]
-        )
-        assert code == 1
-        assert "bucket" in capsys.readouterr().err
+        model = ["--checkpoint", str(checkpoint), "--input", "C" * 40 + ">>"]
+        assert main(["predict", *model]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1 and err == ""
+        path = tmp_path / "attention.csv"
+        assert main(["export-attention", *model, "--out", str(path)]) == 0
+        with open(path, newline="") as handle:
+            header = next(csv.reader(handle))
+        assert len(header) == 1 + 2 * 42  # 40 carbons and two '>', no PAD
 
     def test_empty_molecule_is_input_error(self, trained, capsys):
         _, _, checkpoint = trained
@@ -601,6 +628,18 @@ class TestEval:
         assert len(timings) == 2
         assert timings[0].startswith("evaluated 3 records (0 skipped) in ")
         assert timings[0].endswith(" records/s")
+
+    def test_product_less_record_is_input_error_naming_it(
+        self, trained, tmp_path, capsys
+    ):
+        _, _, checkpoint = trained
+        data = tmp_path / "data.rsmi"
+        data.write_text("C=C.Cl>>CCCl\nCCO>>\n")
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {data}: record 'CCO>>': reference is empty" in err
+        assert "internal error" not in err
 
     def test_empty_testset_is_input_error(self, trained, tmp_path, capsys):
         _, _, checkpoint = trained

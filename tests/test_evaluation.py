@@ -1,6 +1,7 @@
 """Tests for prediction scoring, aggregate reports, and CSV exports."""
 
 import csv
+import dataclasses
 import functools
 import json
 from collections import Counter
@@ -23,6 +24,7 @@ from rxnseq.evaluation import (
     write_report_json,
 )
 from rxnseq.model import (
+    Model,
     ModelConfig,
     batch_loss,
     fit,
@@ -113,7 +115,7 @@ def two_buckets():
     examples = [
         encode_example(r, input_vocab, output_vocab, buckets) for r in records
     ]
-    assert {e.bucket_index for e in examples} == {0, 1}
+    assert {(len(e.encoder_ids), len(e.decoder_ids)) for e in examples} == set(buckets.pairs)
     fit(model, examples, steps=800, batch_size=3, seed=2)
     return model, records, input_vocab, output_vocab
 
@@ -229,7 +231,7 @@ def scored_fixture():
     )
     model = init_model(config)
     predicted_for = {
-        tuple(encode_source(source_string(r), input_vocab, buckets)[0]): p
+        encode_source(source_string(r), input_vocab, buckets): p
         for r, (_, p) in zip(records, SCORED)
     }
     assert len(predicted_for) == len(records)
@@ -399,25 +401,34 @@ class TestEvaluate:
         for row in report.rows:
             assert row.predicted == row.reference
 
-    def test_too_long_records_are_skipped_not_scored(self):
+    def test_records_beyond_every_bucket_are_scored(self):
         model, records, input_vocab, output_vocab = memorized()
         long_record = normalize(parse_record("C" * 40 + ".Cl>>CCCl"))
         report = evaluate(
             model, records + [long_record], input_vocab, output_vocab
         )
-        assert report.skipped == 1
-        assert report.n == 3
+        assert report.skipped == 0
+        assert report.n == 4
+        assert report.rows[3].source == "C" * 40 + ".Cl>>"
+        alone = evaluate(model, records, input_vocab, output_vocab)
+        assert report.rows[:3] == alone.rows
 
     def test_empty_testset_raises(self):
         model, _, input_vocab, output_vocab = memorized()
         with pytest.raises(EmptyTestset):
             evaluate(model, [], input_vocab, output_vocab)
 
-    def test_all_skipped_raises(self):
+    def test_testset_beyond_every_bucket_is_scored(self):
         model, _, input_vocab, output_vocab = memorized()
         long_record = normalize(parse_record("C" * 40 + ".Cl>>CCCl"))
-        with pytest.raises(EmptyTestset):
-            evaluate(model, [long_record], input_vocab, output_vocab)
+        report = evaluate(model, [long_record], input_vocab, output_vocab)
+        assert (report.n, report.skipped) == (1, 0)
+
+    def test_empty_reference_names_its_record(self):
+        model, records, input_vocab, output_vocab = memorized()
+        empty = normalize(parse_record("CCO>>"))
+        with pytest.raises(ReferenceInvalid, match=r"record 'CCO>>': reference is empty"):
+            evaluate(model, records + [empty], input_vocab, output_vocab)
 
     def test_untrained_model_still_reports(self):
         _, records, input_vocab, output_vocab = memorized()
@@ -469,23 +480,37 @@ class TestBatchedEvaluate:
             assert mirrored.predicted == row.predicted
             assert mirrored.cross_entropy == pytest.approx(row.cross_entropy, abs=1e-6)
 
-    def test_record_beyond_every_bucket_is_skipped(self):
+    def test_record_beyond_every_bucket_is_scored(self):
         model, records, input_vocab, output_vocab = two_buckets()
-        long_record = normalize(parse_record("C" * 20 + ".Cl>>CCCl"))
-        mixed = records[:3] + [long_record] + records[3:]
+        long_source = normalize(parse_record("C" * 20 + ".Cl>>CCCl"))
+        # 22 reference tokens with GO and EOS: past the decode limit of 13.
+        long_reference = normalize(parse_record("C=C.Cl>>" + "C" * 19 + "Cl"))
+        mixed = records[:3] + [long_source] + records[3:] + [long_reference]
         report = evaluate(model, mixed, input_vocab, output_vocab)
-        assert report.skipped == 1
-        assert report.n == len(records)
-        assert 3 not in {row.index for row in report.rows}
+        assert (report.n, report.skipped) == (len(mixed), 0)
         alone = evaluate(model, records, input_vocab, output_vocab)
-        assert [r.predicted for r in report.rows] == [r.predicted for r in alone.rows]
+        kept = report.rows[:3] + report.rows[4:-1]
+        assert [r.predicted for r in kept] == [r.predicted for r in alone.rows]
+        for index in (3, len(mixed) - 1):
+            row, record = report.rows[index], mixed[index]
+            example = encode_example(record, input_vocab, output_vocab, model.config.buckets)
+            ids = predict(model, np.array(example.encoder_ids))
+            assert row.predicted == "".join(output_vocab.token_of(i) for i in ids)
+            alone_loss = batch_loss(
+                model, np.array([example.encoder_ids]), np.array([example.decoder_ids])
+            )
+            assert row.cross_entropy == pytest.approx(alone_loss, rel=1e-5)
+        assert not report.rows[-1].exact
+        assert len(tokenize(report.rows[-1].predicted)) <= model.config.buckets[-1][1] - 1
 
 
 @pytest.fixture(scope="module")
 def narrow_first_bucket(tmp_path_factory):
     """A saved model with buckets 8:5,12:12: records whose products need more
     than 5 decoder slots sit in evaluate's 12-wide bucket, while predict
-    encodes their sources in the 8-wide one."""
+    encodes their sources in the 8-wide one.  The last two records, left out
+    of training, are beyond every bucket: the first in both lengths, the
+    second in its source alone."""
     records = [
         normalize(parse_record(line))
         for line in (
@@ -497,9 +522,12 @@ def narrow_first_bucket(tmp_path_factory):
             "C=CC.O>>CC(C)O",
             "CC=C.Cl>>CC(C)Cl",
             "C=C.I>>CCI",
+            "CCCCCCCCC=C.Cl>>CCCCCCCCC(C)Cl",
+            "C=C.Cl>CCCCCCCCCCO>CCCl",
         )
     ]
-    input_vocab, output_vocab = build_vocabs(records)
+    trained_on = records[:-2]
+    input_vocab, output_vocab = build_vocabs(trained_on)
     buckets = BucketSpec(((8, 5), (12, 12)))
     config = ModelConfig(
         input_vocab_size=len(input_vocab),
@@ -512,7 +540,7 @@ def narrow_first_bucket(tmp_path_factory):
         seed=3,
     )
     model = init_model(config)
-    examples = [encode_example(r, input_vocab, output_vocab, buckets) for r in records]
+    examples = [encode_example(r, input_vocab, output_vocab, buckets) for r in trained_on]
     fit(model, examples, steps=300, batch_size=4, seed=1)
     checkpoint = tmp_path_factory.mktemp("narrow") / "model.rxs2"
     save_checkpoint(model, checkpoint)
@@ -530,11 +558,11 @@ class TestOnePath:
         wider = 0
         for record in records:
             example = encode_example(record, input_vocab, output_vocab, buckets)
-            source_ids, _ = encode_source(source_string(record), input_vocab, buckets)
+            source_ids = encode_source(source_string(record), input_vocab, buckets)
             wider += len(example.encoder_ids) > len(source_ids)
         assert wider >= 4
         report = evaluate(model, records, input_vocab, output_vocab)
-        assert report.skipped == 0
+        assert (report.n, report.skipped) == (len(records), 0)
         capsys.readouterr()
         for row in report.rows:
             argv = ["predict", "--checkpoint", str(checkpoint), "--input", row.source]
@@ -547,6 +575,28 @@ class TestOnePath:
             emitted = tokens[: tokens.index("<eos>")] if "<eos>" in tokens else tokens
             assert "".join(t for t in emitted if t not in ("<pad>", "<go>")) == row.predicted
         assert max(len(row.predicted) for row in report.rows) > 4
+
+    def test_records_beyond_every_bucket_match_a_spec_that_holds_them(
+        self, narrow_first_bucket
+    ):
+        model, records, input_vocab, output_vocab, _ = narrow_first_bucket
+        narrow = model.config.buckets
+        held = BucketSpec(narrow.pairs + ((24, 24),))
+        wide = Model(dataclasses.replace(model.config, buckets=held), model.params)
+        limit = narrow[-1][1] - 1
+        beyond = 0
+        for record in records:
+            example = encode_example(record, input_vocab, output_vocab, narrow)
+            padded = encode_example(record, input_vocab, output_vocab, held)
+            beyond += example != padded
+            enc, dec = np.array([example.encoder_ids]), np.array([example.decoder_ids])
+            wide_enc = np.array([padded.encoder_ids])
+            wide_dec = np.array([padded.decoder_ids])
+            assert predict(model, enc[0]) == predict(wide, wide_enc[0], max_len=limit)
+            assert batch_loss(model, enc, dec) == pytest.approx(
+                batch_loss(wide, wide_enc, wide_dec), rel=1e-5
+            )
+        assert beyond == 2
 
 
 class TestReportFiles:

@@ -20,7 +20,6 @@ from rxnseq.pipeline import (
     ReactionRecord,
     RecordSource,
     RejectReport,
-    TooLongForBuckets,
     Vocab,
     batch_iter,
     build_vocabs,
@@ -390,21 +389,22 @@ class TestBucketSpec:
             BucketSpec(((54, 54), (54, 60)))
 
     def test_smallest_bucket_wins(self):
-        assert DEFAULT_BUCKETS.bucket_for(10, 10) == 0
-        assert DEFAULT_BUCKETS.bucket_for(54, 54) == 0
+        assert DEFAULT_BUCKETS.shape_for(10, 10) == (54, 54)
+        assert DEFAULT_BUCKETS.shape_for(54, 54) == (54, 54)
+        assert DEFAULT_BUCKETS.shape_for(10) == (54, 54)
 
     def test_sixty_token_source_selects_second_bucket(self):
         # 60 source tokens with a 58-token product (60 with GO/EOS).
-        assert DEFAULT_BUCKETS.bucket_for(60, 60) == 1
+        assert DEFAULT_BUCKETS.shape_for(60, 60) == (70, 60)
 
     def test_decoder_length_alone_can_bump_bucket(self):
-        assert DEFAULT_BUCKETS.bucket_for(10, 61) == 2
+        assert DEFAULT_BUCKETS.shape_for(10, 61) == (90, 65)
 
-    def test_too_long_raises(self):
-        with pytest.raises(TooLongForBuckets):
-            DEFAULT_BUCKETS.bucket_for(151, 10)
-        with pytest.raises(TooLongForBuckets):
-            DEFAULT_BUCKETS.bucket_for(10, 81)
+    def test_beyond_every_bucket_is_its_own_shape(self):
+        assert DEFAULT_BUCKETS.shape_for(150, 80) == (150, 80)
+        assert DEFAULT_BUCKETS.shape_for(151, 10) == (151, 10)
+        assert DEFAULT_BUCKETS.shape_for(10, 81) == (10, 81)
+        assert DEFAULT_BUCKETS.shape_for(151) == (151, 0)
 
 
 def tiny_vocabs():
@@ -419,7 +419,6 @@ class TestEncodeExample:
     def test_shapes_match_bucket(self):
         records, iv, ov = tiny_vocabs()
         ex = encode_example(records[0], iv, ov)
-        assert ex.bucket_index == 0
         assert len(ex.encoder_ids) == 54
         assert len(ex.decoder_ids) == 54
 
@@ -458,32 +457,38 @@ class TestEncodeExample:
         ex = encode_example(r, iv, ov)
         assert UNK_ID in ex.encoder_ids
 
-    def test_too_long_record_raises(self):
+    def test_record_beyond_every_bucket_is_padded_to_its_own_lengths(self):
         records, iv, ov = tiny_vocabs()
-        r = ReactionRecord(("C" * 160,), (), ("C",))
-        with pytest.raises(TooLongForBuckets):
-            encode_example(r, iv, ov)
+        long_source = encode_example(ReactionRecord(("C" * 160,), (), ("C",)), iv, ov)
+        assert long_source.encoder_ids == (iv.id_of(">"),) * 2 + (iv.id_of("C"),) * 160
+        assert long_source.decoder_ids == (GO_ID, ov.id_of("C"), EOS_ID)
+        long_product = encode_example(ReactionRecord(("C",), (), ("C" * 90,)), iv, ov)
+        assert long_product.encoder_ids == (iv.id_of(">"),) * 2 + (iv.id_of("C"),)
+        assert long_product.decoder_ids == (GO_ID, *(ov.id_of("C"),) * 90, EOS_ID)
 
     def test_encode_source_matches_example_prefix(self):
         records, iv, ov = tiny_vocabs()
-        r = records[0]
-        ids, index = encode_source(source_string(r), iv)
-        ex = encode_example(r, iv, ov)
-        assert ids == ex.encoder_ids
-        assert index == ex.bucket_index
+        long_record = ReactionRecord(("C" * 160,), (), ("C",))
+        for r in [records[0], long_record]:
+            ids = encode_source(source_string(r), iv)
+            assert ids == encode_example(r, iv, ov).encoder_ids
 
 
 class TestBatchIter:
-    def examples(self, n, iv, ov, bucket_stretch=False):
+    def examples(self, n, iv, ov, mixed=False):
         out = []
         for i in range(n):
             # Vary the reactant chain length so examples are distinguishable.
             chain = "C" * (i % 5 + 2)
             line = f"{chain}.Cl>>{chain}Cl"
             record = record_of(line)
-            if bucket_stretch and i % 2:
+            if mixed and i % 3 == 1:
                 # Pad the source past 54 tokens to land in the second bucket.
                 record = record_of("C" * 60 + f".Cl>>{chain}Cl")
+            if mixed and i % 3 == 2:
+                # Beyond every bucket: sources past 150 tokens in two lengths,
+                # each with products of two lengths.
+                record = record_of("C" * (160 + i % 2) + ".Cl>>" + "C" * (i % 4) + "Cl")
             out.append(encode_example(record, iv, ov))
         return out
 
@@ -497,20 +502,25 @@ class TestBatchIter:
         assert sorted(sizes) == [2, 4, 4]
 
     def test_no_mixed_bucket_batches(self):
-        examples = self.examples(10, self.iv, self.ov, bucket_stretch=True)
+        examples = self.examples(12, self.iv, self.ov, mixed=True)
+        rows = {(ex.encoder_ids, ex.decoder_ids) for ex in examples}
+        shapes = Counter((len(ex.encoder_ids), len(ex.decoder_ids)) for ex in examples)
+        assert shapes == {
+            (54, 54): 4, (70, 60): 4, (164, 5): 1, (164, 3): 1, (165, 4): 1, (165, 6): 1
+        }
+        batched = Counter()
         for batch in batch_iter(examples, 3, seed=5):
-            rows = {len(ex.encoder_ids) for ex in examples if ex.bucket_index == batch.bucket_index}
-            assert batch.encoder.shape[1] in rows
-            widths = {DEFAULT_BUCKETS[batch.bucket_index][0]}
-            assert {batch.encoder.shape[1]} == widths
+            for enc, dec in zip(batch.encoder, batch.decoder):
+                assert (tuple(enc), tuple(dec)) in rows
+            batched[batch.encoder.shape[1], batch.decoder.shape[1]] += len(batch)
+        assert batched == shapes
 
     def test_same_seed_same_stream(self):
-        examples = self.examples(20, self.iv, self.ov, bucket_stretch=True)
+        examples = self.examples(20, self.iv, self.ov, mixed=True)
         a = list(batch_iter(examples, 4, seed=9, epoch=0))
         b = list(batch_iter(examples, 4, seed=9, epoch=0))
         assert len(a) == len(b)
         for x, y in zip(a, b):
-            assert x.bucket_index == y.bucket_index
             assert np.array_equal(x.encoder, y.encoder)
             assert np.array_equal(x.decoder, y.decoder)
 
