@@ -73,27 +73,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}".rstrip())
 
 
-# Keys a key=value config file may provide; flags override them.
-_CONFIG_KEYS = {
-    "seed": int,
-    "hidden_dim": int,
-    "embedding_dim": int,
-    "layers": int,
-    "buckets": str,
-    "batch_size": int,
-    "steps": int,
-    "lr": float,
-}
-
-_DEFAULTS = {
-    "seed": 0,
-    "hidden_dim": 64,
-    "embedding_dim": 64,
-    "layers": 3,
-    "buckets": "54:54,70:60,90:65,150:80",
-    "batch_size": 32,
-    "steps": 500,
-    "lr": 0.5,
+# Each setting a key=value config file may provide, with its type and default;
+# flags override the file.  A model setting left at None takes its default
+# from ModelConfig (buckets from DEFAULT_BUCKETS).
+_SETTINGS = {
+    "seed": (int, None),
+    "hidden_dim": (int, None),
+    "embedding_dim": (int, None),
+    "layers": (int, None),
+    "buckets": (str, None),
+    "batch_size": (int, 32),
+    "steps": (int, 500),
+    "lr": (float, None),
 }
 
 
@@ -121,10 +112,10 @@ def _read_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise InputError(f"{path}:{number}: expected key=value, got {raw!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise InputError(f"{path}:{number}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](value)
+            values[key] = _SETTINGS[key][0](value)
         except ValueError as exc:
             raise InputError(f"{path}:{number}: bad value for {key}: {exc}") from exc
     return values
@@ -132,10 +123,10 @@ def _read_config_file(path: str) -> dict:
 
 def _effective(args) -> dict:
     """Merge defaults, then config file, then explicit flags."""
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (_, default) in _SETTINGS.items()}
     if getattr(args, "config", None):
         merged.update(_read_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in _SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -210,15 +201,15 @@ def _normalized_records(path: str):
 
 def _source_of(text: str) -> str:
     """Reduce a reaction string to its model input: everything up to the
-    products, second '>' included, normalized as the training data was."""
+    products, second '>' included, normalized as the training data was.
+    Whatever follows the last '>' is dropped unread."""
     from .pipeline import CanonicalizationError, normalize, parse_record, source_string
-    from .smiles import MalformedReaction, split_reaction
+    from .smiles import MalformedReaction
 
     if ">" not in text:
         raise InputError(f"not a reaction string (no '>'): {text!r}")
     try:
-        parts = split_reaction(text)
-        record = parse_record(f"{parts.reactants}>{parts.reagents}>")
+        record = parse_record(text[: text.rindex(">") + 1])
         return source_string(normalize(record))
     except (MalformedReaction, CanonicalizationError) as exc:
         raise InputError(str(exc)) from exc
@@ -274,6 +265,7 @@ def cmd_gen(args) -> int:
 
     _require_file(args.templates, "template file")
     _require_file(args.substrates, "substrate file")
+    _require_writable(args.out)
     try:
         with _reading(args.templates):
             templates = load_templates_file(args.templates)
@@ -349,6 +341,7 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     from .model import ModelConfig, NonFiniteLoss, checkpoint_bytes, fit, init_model
     from .pipeline import (
+        DEFAULT_BUCKETS,
         BucketSpec,
         BucketSpecError,
         build_vocabs,
@@ -363,7 +356,9 @@ def cmd_train(args) -> int:
     if cfg["batch_size"] < 1:
         raise InputError("--batch-size must be positive")
     try:
-        buckets = BucketSpec.parse(cfg["buckets"])
+        buckets = (
+            DEFAULT_BUCKETS if cfg["buckets"] is None else BucketSpec.parse(cfg["buckets"])
+        )
     except BucketSpecError as exc:
         raise InputError(f"bad --buckets: {exc}") from exc
     records = _normalized_records(args.data)
@@ -373,16 +368,19 @@ def cmd_train(args) -> int:
     examples = [
         encode_example(record, input_vocab, output_vocab, buckets) for record in records
     ]
+    given = {
+        "num_layers": cfg["layers"],
+        "embedding_dim": cfg["embedding_dim"],
+        "hidden_dim": cfg["hidden_dim"],
+        "learning_rate": cfg["lr"],
+        "seed": cfg["seed"],
+    }
     try:
         config = ModelConfig(
             input_vocab_size=len(input_vocab),
             output_vocab_size=len(output_vocab),
-            num_layers=cfg["layers"],
-            embedding_dim=cfg["embedding_dim"],
-            hidden_dim=cfg["hidden_dim"],
             buckets=buckets,
-            learning_rate=cfg["lr"],
-            seed=cfg["seed"],
+            **{field: value for field, value in given.items() if value is not None},
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -394,7 +392,7 @@ def cmd_train(args) -> int:
             examples,
             steps=cfg["steps"],
             batch_size=cfg["batch_size"],
-            seed=cfg["seed"],
+            seed=config.seed,
         )
     except NonFiniteLoss as exc:
         raise InputError(f"training diverged: {exc}") from exc
@@ -495,6 +493,7 @@ def cmd_export_attention(args) -> int:
     from .evaluation import export_attention
 
     model, input_vocab, output_vocab = _load_model_and_vocabs(args.checkpoint)
+    _require_writable(args.out)
     source = _source_of(args.input)
     export_attention(model, source, input_vocab, output_vocab, args.out)
     return 0

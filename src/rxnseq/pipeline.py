@@ -1,14 +1,16 @@
-"""Reaction corpus ingestion, normalization, vocabularies, and bucketed encoding.
+"""Reaction records, corpus ingestion, normalization, vocabularies, and
+bucketed encoding.
 
 Turns raw reaction SMILES lines into fixed-size integer matrices ready for the
-translation model: length/count filters, per-part canonicalization, frequency
-vocabularies with fixed special ids, reversed PAD-prefixed encoder inputs, and
-seeded bucketed batching.
+translation model.  :func:`parse_record` is the one place a reaction line is
+split into its reactant, reagent and product molecules.  Then come
+length/count filters, per-part canonicalization, frequency vocabularies with
+fixed special ids, reversed PAD-prefixed encoder inputs, and seeded bucketed
+batching.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import logging
 import os
@@ -72,33 +74,26 @@ class BucketSpecError(PipelineError):
     pass
 
 
-class RecordSource(enum.Enum):
-    GENERATED = "generated"
-    INGESTED = "ingested"
-
-
 @dataclass(frozen=True)
 class ReactionRecord:
     reactants: tuple[str, ...]
     reagents: tuple[str, ...]
     products: tuple[str, ...]
-    source: RecordSource = RecordSource.GENERATED
 
     def smiles(self) -> str:
-        return (
-            ".".join(self.reactants)
-            + ">"
-            + ".".join(self.reagents)
-            + ">"
-            + ".".join(self.products)
+        return source_string(self) + target_string(self)
+
+
+def parse_record(line: str) -> ReactionRecord:
+    """Split ``reactants>reagents>products`` into its parts' molecule tuples.
+
+    Any part may be empty; a molecule may not.  No graph-level checks.
+    """
+    parts = line.split(">")
+    if len(parts) != 3:
+        raise smiles.MalformedReaction(
+            f"expected exactly two '>' separators, found {len(parts) - 1}"
         )
-
-
-def parse_record(
-    line: str, source: RecordSource = RecordSource.INGESTED
-) -> ReactionRecord:
-    """Split one reaction SMILES line into part tuples; no graph-level checks."""
-    parts = smiles.split_reaction(line)
 
     def pieces(part: str) -> tuple[str, ...]:
         if not part:
@@ -108,12 +103,7 @@ def parse_record(
             raise smiles.MalformedReaction(f"empty molecule in part {part!r}")
         return out
 
-    return ReactionRecord(
-        reactants=pieces(parts.reactants),
-        reagents=pieces(parts.reagents),
-        products=pieces(parts.products),
-        source=source,
-    )
+    return ReactionRecord(*map(pieces, parts))
 
 
 def source_string(record: ReactionRecord) -> str:
@@ -193,17 +183,16 @@ def ingest_lines(lines: Iterable[str]) -> tuple[list[ReactionRecord], RejectRepo
                 reactants=tuple(map(_stripped_molecule, mapped.reactants)),
                 reagents=tuple(map(_stripped_molecule, mapped.reagents)),
                 products=tuple(map(_stripped_molecule, mapped.products)),
-                source=RecordSource.INGESTED,
             )
         except (SmilesError, UnparseableMolecule) as exc:
             report.parse_failures += 1
             log.warning("line %d: skipped unparseable reaction: %s", lineno, exc)
             continue
-        reactants, reagents, products = record.smiles().split(">")
-        if len(reactants) + 1 + len(reagents) > MAX_SOURCE_CHARS:
+        # source_string ends in the second '>', which the source length leaves out
+        if len(source_string(record)) - 1 > MAX_SOURCE_CHARS:
             report.source_too_long += 1
             continue
-        if len(products) > MAX_PRODUCT_CHARS:
+        if len(target_string(record)) > MAX_PRODUCT_CHARS:
             report.products_too_long += 1
             continue
         if len(record.products) > MAX_PRODUCT_COUNT:
@@ -235,7 +224,6 @@ def normalize(record: ReactionRecord) -> ReactionRecord:
         reactants=canon_part(record.reactants),
         reagents=canon_part(record.reagents),
         products=canon_part(record.products),
-        source=record.source,
     )
 
 
@@ -408,13 +396,6 @@ def encode_example(
     return EncodedExample(_encoder_ids(source, input_vocab, encoder_len), decoder_ids)
 
 
-def decode_ids(ids: Sequence[int], vocab: Vocab) -> list[str]:
-    """Token texts for the given ids with PAD/GO/EOS dropped (UNK text kept)."""
-    return [
-        vocab.token_of(i) for i in ids if i not in (PAD_ID, GO_ID, EOS_ID)
-    ]
-
-
 @dataclass(frozen=True)
 class Batch:
     encoder: np.ndarray  # (batch, encoder_len) int64
@@ -512,14 +493,12 @@ def write_reactions(records: Iterable[ReactionRecord], path: str | Path) -> None
     write_atomic(path, reactions_bytes(records))
 
 
-def read_reactions(
-    path: str | Path, source: RecordSource = RecordSource.INGESTED
-) -> list[ReactionRecord]:
+def read_reactions(path: str | Path) -> list[ReactionRecord]:
     records = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            records.append(parse_record(line, source))
+            records.append(parse_record(line))
     return records

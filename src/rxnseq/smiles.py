@@ -1,7 +1,9 @@
 """Lexing and structure checking for SMILES and reaction SMILES.
 
 The lexer splits a string into atom, bond, branch, ring-closure, dot and
-(for reaction strings) ``>`` separator tokens.  Structure checking lives in
+(for reaction strings) ``>`` separator tokens.  Splitting a reaction line
+into its parts is left to ``pipeline.parse_record``, which raises this
+module's :class:`MalformedReaction`.  Structure checking lives in
 :func:`validate`, which never raises: it returns a list of positioned
 failures so callers can score malformed model output instead of crashing
 on it.
@@ -23,7 +25,6 @@ __all__ = [
     "BracketFields",
     "MalformedReaction",
     "ORGANIC_SUBSET",
-    "ReactionParts",
     "SmilesError",
     "Token",
     "TokenKind",
@@ -38,7 +39,6 @@ __all__ = [
     "bare_hydrogen_fill",
     "detokenize",
     "format_bracket",
-    "split_reaction",
     "tokenize",
     "validate",
 ]
@@ -87,7 +87,8 @@ class UnterminatedBracket(TokenizeError):
 
 
 class MalformedReaction(SmilesError):
-    """Raised when a reaction string does not contain exactly two '>'."""
+    """A reaction line without exactly two '>', or with an empty molecule;
+    raised by ``pipeline.parse_record``."""
 
 
 class TokenKind(enum.Enum):
@@ -146,16 +147,6 @@ class Token:
 
 
 TokenSequence = list[Token]
-
-
-@dataclass(frozen=True)
-class ReactionParts:
-    reactants: str
-    reagents: str
-    products: str
-
-    def join(self) -> str:
-        return f"{self.reactants}>{self.reagents}>{self.products}"
 
 
 def _parse_charge(text: str | None) -> int:
@@ -279,16 +270,6 @@ def tokenize(text: str) -> TokenSequence:
 
 def detokenize(tokens: TokenSequence) -> str:
     return "".join(t.text for t in tokens)
-
-
-def split_reaction(text: str) -> ReactionParts:
-    """Split ``reactants>reagents>products``; any part may be empty."""
-    parts = text.split(">")
-    if len(parts) != 3:
-        raise MalformedReaction(
-            f"expected exactly two '>' separators, found {len(parts) - 1}"
-        )
-    return ReactionParts(*parts)
 
 
 class ValidationKind(enum.Enum):

@@ -35,7 +35,7 @@ from .molgraph import (
     effective_hcount,
     parse_string,
 )
-from .pipeline import ReactionRecord, RecordSource
+from .pipeline import ReactionRecord
 from .smiles import _assemble, _parse_charge
 
 __all__ = [
@@ -530,7 +530,6 @@ def apply_template(
             reactants=tuple(reactants),
             reagents=tuple(reagents),
             products=best_products,
-            source=RecordSource.GENERATED,
         )
     ]
 
@@ -548,11 +547,11 @@ def _canonical_parts_graph(g: MolGraph) -> list[str]:
 class SubstrateFilter:
     """Eligibility rules for dataset substrates."""
 
-    min_atoms: int = 1
-    max_atoms: int = 10
-    max_functional_groups: int = 1
-    forbidden_motifs: tuple[PatternGraph, ...] = ()
-    functional_groups: tuple[tuple[str, PatternGraph], ...] = ()
+    min_atoms: int
+    max_atoms: int
+    max_functional_groups: int
+    forbidden_motifs: tuple[PatternGraph, ...]
+    functional_groups: tuple[tuple[str, PatternGraph], ...]
 
 
 # Functional groups are claimed in priority order so that e.g. a carboxyl

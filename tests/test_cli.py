@@ -207,6 +207,26 @@ class TestGen:
         assert main(argv) == 0
         assert "substrate skipped (line 5, C1CC)" in caplog.text
 
+    @pytest.mark.parametrize(
+        "out, message, named",
+        [
+            ("missing/x.rsmi", "output directory not found", "missing"),
+            (".", "output path is a directory", "."),
+        ],
+    )
+    def test_unwritable_out_is_refused_before_generating(
+        self, tmp_path, capsys, monkeypatch, out, message, named
+    ):
+        def generate(*args):
+            raise AssertionError("generated before checking --out")
+
+        monkeypatch.setattr("rxnseq.templates.generate_dataset", generate)
+        shipped = Path(pipeline.__file__).parent / "data"
+        argv = ["gen", "--templates", str(shipped / "templates.txt"),
+                "--substrates", str(shipped / "substrates.smi"), "--out", str(tmp_path / out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}: {tmp_path / named}\n"
+
     def test_missing_template_file(self, tmp_path, capsys):
         substrates = tmp_path / "substrates.smi"
         substrates.write_text("C=C\n")
@@ -438,6 +458,17 @@ class TestTrain:
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_unset_model_settings_take_the_model_config_defaults(self, tmp_path):
+        from rxnseq.model import ModelConfig, load_checkpoint
+
+        data = tmp_path / "train.rsmi"
+        data.write_text(TRAIN_LINES)
+        out = tmp_path / "m.rxs2"
+        assert main(["train", "--data", str(data), "--out", str(out), "--steps", "1"]) == 0
+        input_vocab = pipeline.Vocab.load(f"{out}.input-vocab")
+        output_vocab = pipeline.Vocab.load(f"{out}.output-vocab")
+        assert load_checkpoint(out).config == ModelConfig(len(input_vocab), len(output_vocab))
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(
             [
@@ -466,6 +497,15 @@ class TestPredict:
         )
         assert code == 0
         assert capsys.readouterr().out.strip() == "BrCC"
+
+    @pytest.mark.parametrize("products", ["C..C", "("])
+    def test_products_part_is_ignored_whatever_it_holds(self, trained, capsys, products):
+        _, _, checkpoint = trained
+        predict = ["predict", "--checkpoint", str(checkpoint), "--input"]
+        assert main([*predict, "C=C.Br>>"]) == 0
+        expected = capsys.readouterr().out
+        assert main([*predict, f"C=C.Br>>{products}"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_input_is_normalized_before_encoding(self, trained, capsys):
         _, _, checkpoint = trained
@@ -703,6 +743,47 @@ class TestCheckpointVersion:
         code = main(["predict", "--checkpoint", str(copy), "--input", "C=C.Cl>>"])
         assert code == 1
         assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "export-attention"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("C=C.Cl", "not a reaction string (no '>'): 'C=C.Cl'"),
+        ("C=C.Cl>", "expected exactly two '>' separators, found 1"),
+        ("C=C>Cl>>", "expected exactly two '>' separators, found 3"),
+    ],
+)
+def test_input_without_two_separators_is_input_error(
+    trained, tmp_path, capsys, command, text, message
+):
+    _, _, checkpoint = trained
+    argv = [command, "--checkpoint", str(checkpoint), "--input", text]
+    if command == "export-attention":
+        argv += ["--out", str(tmp_path / "a.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "out, message, named",
+    [
+        ("missing/a.csv", "output directory not found", "missing"),
+        (".", "output path is a directory", "."),
+    ],
+)
+def test_export_attention_refuses_an_unwritable_out_before_decoding(
+    trained, tmp_path, capsys, monkeypatch, out, message, named
+):
+    def export(*args):
+        raise AssertionError("decoded before checking --out")
+
+    monkeypatch.setattr("rxnseq.evaluation.export_attention", export)
+    _, _, checkpoint = trained
+    argv = ["export-attention", "--checkpoint", str(checkpoint), "--input", "C=C.Cl>>",
+            "--out", str(tmp_path / out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}: {tmp_path / named}\n"
 
 
 def unwritable_commands(root, data, checkpoint):

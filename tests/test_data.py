@@ -3,8 +3,11 @@
 import hashlib
 from pathlib import Path
 
+import pytest
+
 import rxnseq
-from rxnseq.pipeline import ingest_file, normalize
+from rxnseq.cli import main
+from rxnseq.pipeline import ingest_file, normalize, read_reactions, write_reactions
 from rxnseq.templates import (
     default_substrate_filter,
     enumerate_substrates,
@@ -49,13 +52,19 @@ def records_digest(records) -> str:
     return hashlib.sha256("".join(r.smiles() + "\n" for r in records).encode()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def generated():
+    """The shipped templates crossed with the shipped substrates, as `gen` does."""
+    templates = load_templates_file(DATA / "templates.txt")
+    substrates = (DATA / "substrates.smi").read_text().splitlines()
+    return generate_dataset(templates, substrates, default_substrate_filter())
+
+
 # Byte oracles for the chemistry layer: any change to parsing, map
 # stripping, canonicalization or template application that alters an
 # output string changes one of these digests.
-def test_gen_output_is_pinned():
-    templates = load_templates_file(DATA / "templates.txt")
-    substrates = (DATA / "substrates.smi").read_text().splitlines()
-    records, failures = generate_dataset(templates, substrates, default_substrate_filter())
+def test_gen_output_is_pinned(generated):
+    records, failures = generated
     assert failures == []
     assert len(records) == 291
     assert (
@@ -74,3 +83,25 @@ def test_ingested_and_normalized_corpus_is_pinned():
         records_digest(normalize(r) for r in records)
         == "924eae9b8702b28cb1630c15b6fb31f697a391b03c9d91fe78320c8933d4286c"
     )
+
+
+def test_gen_output_reads_back_as_equal_records(generated, tmp_path):
+    records, _ = generated
+    write_reactions(records, tmp_path / "gen.rsmi")
+    assert read_reactions(tmp_path / "gen.rsmi") == records
+
+
+def test_split_of_gen_output_is_pinned(generated, tmp_path):
+    write_reactions(generated[0], tmp_path / "gen.rsmi")
+    argv = ["split", "--data", str(tmp_path / "gen.rsmi"), "--out", str(tmp_path / "splits"),
+            "--seed", "5"]
+    assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "splits" / name).read_bytes()).hexdigest()
+        for name in ("train.rsmi", "valid.rsmi", "test.rsmi")
+    }
+    assert digests == {
+        "train.rsmi": "b082a5608eec2408127259f561a8f6ec6ecf9f8e951dcd3c85709a51851dd315",
+        "valid.rsmi": "56466ffb1e5eb981f69911ec1fb8c497f74763744239735eb8be35461858f244",
+        "test.rsmi": "b8ad96c900e671e2f02889a31434599beacf32b21e6553f8f842f7486b643183",
+    }

@@ -6,13 +6,11 @@ import pytest
 
 from rxnseq.smiles import (
     BracketFields,
-    MalformedReaction,
     Token,
     TokenKind,
     UnrecognizedCharacter,
     UnterminatedBracket,
     detokenize,
-    split_reaction,
     tokenize,
     validate,
     ValidationKind,
@@ -116,18 +114,6 @@ def test_unrecognized_and_unterminated():
 def test_empty_input_is_empty_part():
     assert tokenize("") == []
     assert detokenize([]) == ""
-
-
-def test_split_reaction():
-    parts = split_reaction("CC=C(C)C.Cl>>CCC(C)(C)Cl")
-    assert parts.reactants == "CC=C(C)C.Cl"
-    assert parts.reagents == ""
-    assert parts.products == "CCC(C)(C)Cl"
-    assert parts.join() == "CC=C(C)C.Cl>>CCC(C)(C)Cl"
-    with pytest.raises(MalformedReaction):
-        split_reaction("CC>O")
-    with pytest.raises(MalformedReaction):
-        split_reaction("C>C>C>C")
 
 
 @pytest.mark.parametrize(
