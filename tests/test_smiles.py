@@ -6,6 +6,7 @@ import pytest
 
 from rxnseq.smiles import (
     BracketFields,
+    MalformedReaction,
     Token,
     TokenKind,
     UnrecognizedCharacter,
@@ -18,7 +19,7 @@ from rxnseq.smiles import (
     _events,
 )
 from rxnseq.molgraph import strip_atom_maps
-from rxnseq.pipeline import ingest_lines
+from rxnseq.pipeline import ingest_lines, parse_record
 from rxnseq.templates import parse_pattern
 
 
@@ -114,6 +115,18 @@ def test_unrecognized_and_unterminated():
 def test_empty_input_is_empty_part():
     assert tokenize("") == []
     assert detokenize([]) == ""
+
+
+def test_split_reaction():
+    record = parse_record("CC=C(C)C.Cl>>CCC(C)(C)Cl")
+    assert record.reactants == ("CC=C(C)C", "Cl")
+    assert record.reagents == ()
+    assert record.products == ("CCC(C)(C)Cl",)
+    assert record.smiles() == "CC=C(C)C.Cl>>CCC(C)(C)Cl"
+    with pytest.raises(MalformedReaction):
+        parse_record("CC>O")
+    with pytest.raises(MalformedReaction):
+        parse_record("C>C>C>C")
 
 
 @pytest.mark.parametrize(
