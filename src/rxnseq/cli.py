@@ -322,16 +322,29 @@ def cmd_split(args) -> int:
             raise ValueError("expected three comma-separated fractions")
     except ValueError as exc:
         raise InputError(f"bad --fractions: {exc}") from exc
+    out = Path(args.out)
+    paths = [out / "train.rsmi", out / "valid.rsmi", out / "test.rsmi"]
+    # --out is made if missing, so its nearest existing ancestor must be a
+    # writable directory; all is checked before any record is read
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise InputError(
+            f"output directory cannot be made: {out} ({nearest} is not a directory)"
+        )
+    if nearest == out:
+        _require_writable(*paths)
+    elif not os.access(nearest, os.W_OK):
+        raise InputError(
+            f"output directory cannot be made: {out} ({nearest} is not writable)"
+        )
     records = _normalized_records(args.data)
     try:
         train, valid, test = split_records(records, args.seed, fractions)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    parts = {out / "train.rsmi": train, out / "valid.rsmi": valid, out / "test.rsmi": test}
-    _require_writable(*parts)
-    write_all_atomic({path: reactions_bytes(part) for path, part in parts.items()})
+    parts = zip(paths, (train, valid, test))
+    write_all_atomic({path: reactions_bytes(part) for path, part in parts})
     logger.info(
         "split %d records into %d/%d/%d", len(records), len(train), len(valid), len(test)
     )

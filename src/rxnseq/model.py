@@ -37,6 +37,8 @@ from .pipeline import (
 )
 
 INIT_SCALE = 0.08
+# fit never halves the learning rate below this
+MIN_LEARNING_RATE = 1e-3
 
 
 class ModelError(Exception):
@@ -630,7 +632,6 @@ def fit(
     batch_size: int,
     seed: int,
     plateau_window: int = 40,
-    min_learning_rate: float = 1e-3,
 ) -> TrainLog:
     """Plain SGD over bucketed batches; halves the rate when loss plateaus.
 
@@ -654,21 +655,19 @@ def fit(
                 recent = float(np.mean(log.losses[-w:]))
                 previous = float(np.mean(log.losses[-2 * w : -w]))
                 if recent > previous * 0.999:
-                    lr = max(lr * 0.5, min_learning_rate)
+                    lr = max(lr * 0.5, MIN_LEARNING_RATE)
     return log
 
 
-def _greedy(model: Model, memory, ma, pad, stack, max_len: int | None = None):
+def _greedy(model: Model, memory, ma, pad, stack):
     """Greedy decoding from GO for a batch, until every row has emitted EOS or
-    the limit has run: the largest decoder length less GO's slot, which
-    max_len may lower.
+    the limit has run: the largest decoder length less GO's slot.
 
     Returns one entry per step: the ids emitted (batch,), the raw attention
     scores and the attention weights (batch, length).  Rows that have already
     emitted EOS keep stepping; callers read each row up to its first EOS.
     """
     limit = model.config.buckets[-1][1] - 1
-    limit = limit if max_len is None else min(limit, max_len)
     prev = np.full(memory.shape[0], GO_ID, dtype=np.int64)
     done = np.zeros(memory.shape[0], dtype=bool)
     emitted, scores, weights = [], [], []
@@ -696,7 +695,7 @@ def _output_ids(tokens) -> list[int]:
 
 
 def predict_with_attention(
-    model: Model, encoder_ids, max_len: int | None = None
+    model: Model, encoder_ids
 ) -> tuple[list[int], list[AttentionRecord]]:
     """Greedy decode from GO; returns emitted ids (specials excluded) and the
     per-step attention trace (the EOS step keeps its trace)."""
@@ -704,7 +703,7 @@ def predict_with_attention(
     if ids.ndim != 1:
         raise DimensionMismatch("predict expects a single encoded sequence")
     memory, stack, ma, pad = _encoder_pass(model, ids[None, :])
-    emitted, scores, weights = _greedy(model, memory, ma, pad, stack, max_len)
+    emitted, scores, weights = _greedy(model, memory, ma, pad, stack)
     tokens = [int(step[0]) for step in emitted]
     records = [
         AttentionRecord(scores=e[0], weights=w[0], token_id=token)
@@ -731,8 +730,8 @@ def evaluate_batch(
     return [_output_ids(row) for row in tokens], row_losses
 
 
-def predict(model: Model, encoder_ids, max_len: int | None = None) -> list[int]:
-    out, _ = predict_with_attention(model, encoder_ids, max_len)
+def predict(model: Model, encoder_ids) -> list[int]:
+    out, _ = predict_with_attention(model, encoder_ids)
     return out
 
 

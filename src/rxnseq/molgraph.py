@@ -31,7 +31,7 @@ from .smiles import (
     _BOND_ORDER_VALUE,
     AROMATIC_SUBSET,
     ORGANIC_SUBSET,
-    BracketFields,
+    Atom,
     TokenKind,
     TokenSequence,
     ValidationFailure,
@@ -126,22 +126,6 @@ _FLIP = {
     BondOrder.UP: BondOrder.DOWN,
     BondOrder.DOWN: BondOrder.UP,
 }
-
-
-@dataclass
-class Atom:
-    """One heavy (or explicitly written) atom.
-
-    ``hcount`` None means "fill from the valence ladder at emission";
-    bracket atoms always carry an explicit count.
-    """
-
-    element: str
-    aromatic: bool = False
-    charge: int = 0
-    hcount: int | None = None
-    isotope: int | None = None
-    chirality: str | None = None
 
 
 class MolGraph:
@@ -250,26 +234,15 @@ def parse_graph(tokens: TokenSequence) -> MolGraph:
     ones left implicit.  Bare atoms whose bond order sum exceeds their
     largest valence raise :class:`ValenceError`.
     """
-    atom_events, bonds, result = _structure(tokens)
+    atom_tokens, bonds, result = _structure(tokens)
     if not result.ok:
         raise InvalidStructure(result.failures)
 
     g = MolGraph()
-    for tok_index in atom_events:
-        t = tokens[tok_index]
-        if t.kind is TokenKind.BRACKET_ATOM:
-            f = t.bracket
-            assert f is not None
-            g.add_atom(
-                Atom(
-                    element=f.element.capitalize() if f.element != "*" else "*",
-                    aromatic=f.aromatic,
-                    charge=f.charge,
-                    hcount=f.hcount,
-                    isotope=f.isotope,
-                    chirality=f.chirality,
-                )
-            )
+    for index in atom_tokens:
+        t = tokens[index]
+        if t.atom is not None:
+            g.add_atom(copy.copy(t.atom))  # a graph's atoms are its own
         elif t.kind is TokenKind.AROMATIC_ATOM:
             g.add_atom(Atom(element=t.text.upper(), aromatic=True))
         else:
@@ -606,15 +579,7 @@ def _atom_text(g: MolGraph, i: int) -> str:
     h = atom.hcount
     if h is None:
         h = effective_hcount(g, i)
-    return format_bracket(
-        BracketFields(
-            element=symbol,
-            isotope=atom.isotope,
-            chirality=atom.chirality,
-            hcount=h,
-            charge=atom.charge,
-        )
-    )
+    return format_bracket(atom, h)
 
 
 def _bond_text(g: MolGraph, u: int, v: int) -> str:

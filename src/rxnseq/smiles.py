@@ -1,28 +1,33 @@
 """Lexing and structure checking for SMILES and reaction SMILES.
 
-The lexer splits a string into atom, bond, branch, ring-closure, dot and
-(for reaction strings) ``>`` separator tokens.  Splitting a reaction line
-into its parts is left to ``pipeline.parse_record``, which raises this
-module's :class:`MalformedReaction`.  Structure checking lives in
-:func:`validate`, which never raises: it returns a list of positioned
+One lexing loop splits a string into atom, bond, branch, ring-closure, dot
+and (for reaction strings) ``>`` separator tokens.  The loop takes a
+bracket reader, the one thing molecule and template-pattern grammars lex
+differently: :func:`tokenize` reads a bracket atom into an :class:`Atom`,
+``templates.parse_pattern`` into a pattern constraint.  Splitting a
+reaction line into its parts is left to ``pipeline.parse_record``, which
+raises this module's :class:`MalformedReaction`.  Structure checking lives
+in :func:`validate`, which never raises: it returns a list of positioned
 failures so callers can score malformed model output instead of crashing
 on it.
 
 Every grammar decision about bonds is made once, in :func:`_assemble`,
-which molecule graphs and template patterns both build on: a bond written
-without a symbol is aromatic (``:``) between two aromatic atoms and single
-(``-``) otherwise, so every bond it returns carries an explicit symbol.
+which reads the tokens of molecules and template patterns alike: a bond
+written without a symbol is aromatic (``:``) between two aromatic atoms
+and single (``-``) otherwise, so every bond it returns carries an
+explicit symbol.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 __all__ = [
     "AROMATIC_SUBSET",
-    "BracketFields",
+    "Atom",
     "MalformedReaction",
     "ORGANIC_SUBSET",
     "SmilesError",
@@ -111,31 +116,34 @@ _BRACKET_RE = re.compile(
     r"(?P<chirality>@@|@(?:TH|AL|SP|TB|OH)\d{1,2}|@)?"
     r"(?P<hcount>H\d*)?"
     r"(?P<charge>[+-]\d{1,2}|\+{1,3}|-{1,3})?"
-    r"(?::(?P<atom_map>\d+))?\]\Z"
+    r"(?::\d+)?\]\Z"  # an atom map is accepted and dropped
 )
 
 
-@dataclass(frozen=True)
-class BracketFields:
-    """Parsed payload of a bracket atom."""
+@dataclass
+class Atom:
+    """One heavy (or explicitly written) atom.
+
+    ``element`` is capitalized (``N`` for ``[nH]``); an aromatic atom is
+    written in lower case.  ``hcount`` None means "fill from the valence
+    ladder at emission"; bracket atoms always carry an explicit count.
+    """
 
     element: str
+    aromatic: bool = False
+    charge: int = 0
+    hcount: int | None = None
     isotope: int | None = None
     chirality: str | None = None
-    hcount: int = 0
-    charge: int = 0
-    atom_map: int | None = None
-
-    @property
-    def aromatic(self) -> bool:
-        return self.element in ("b", "c", "n", "o", "p", "s", "se", "as")
 
 
 @dataclass(frozen=True)
 class Token:
     kind: TokenKind
     text: str
-    bracket: BracketFields | None = None
+    # What the bracket reader made of a bracket atom: an Atom from
+    # tokenize, a pattern constraint from templates.parse_pattern.
+    atom: Atom | None = None
 
     def is_atom(self) -> bool:
         return self.kind in _ATOM_KINDS
@@ -161,64 +169,55 @@ def _parse_charge(text: str | None) -> int:
     return int(text)
 
 
-def _parse_bracket(raw: str, position: int) -> BracketFields:
+def _parse_bracket(raw: str, position: int) -> Atom:
     m = _BRACKET_RE.match(raw)
     if m is None:
         raise UnrecognizedCharacter(position, f"malformed bracket atom {raw!r}")
+    element = m.group("element")
     hcount = m.group("hcount")
-    if hcount is None:
-        h = 0
-    elif hcount == "H":
-        h = 1
-    else:
-        h = int(hcount[1:])
     isotope = m.group("isotope")
-    atom_map = m.group("atom_map")
-    return BracketFields(
-        element=m.group("element"),
+    return Atom(
+        element=element.capitalize(),
+        aromatic=element.islower(),
+        charge=_parse_charge(m.group("charge")),
+        hcount=int(hcount[1:] or 1) if hcount else 0,
         isotope=int(isotope) if isotope is not None else None,
         chirality=m.group("chirality"),
-        hcount=h,
-        charge=_parse_charge(m.group("charge")),
-        atom_map=int(atom_map) if atom_map is not None else None,
     )
 
 
-def format_bracket(fields: BracketFields) -> str:
-    """Render bracket fields back to text in a fixed normal form."""
+def format_bracket(atom: Atom, hcount: int) -> str:
+    """Write ``atom`` with ``hcount`` hydrogens as a bracket atom, in a
+    fixed normal form."""
     parts = ["["]
-    if fields.isotope is not None:
-        parts.append(str(fields.isotope))
-    parts.append(fields.element)
-    if fields.chirality:
-        parts.append(fields.chirality)
-    if fields.hcount == 1:
+    if atom.isotope is not None:
+        parts.append(str(atom.isotope))
+    parts.append(atom.element.lower() if atom.aromatic else atom.element)
+    if atom.chirality:
+        parts.append(atom.chirality)
+    if hcount == 1:
         parts.append("H")
-    elif fields.hcount > 1:
-        parts.append(f"H{fields.hcount}")
-    if fields.charge == 1:
+    elif hcount > 1:
+        parts.append(f"H{hcount}")
+    if atom.charge == 1:
         parts.append("+")
-    elif fields.charge == -1:
+    elif atom.charge == -1:
         parts.append("-")
-    elif fields.charge > 1:
-        parts.append(f"+{fields.charge}")
-    elif fields.charge < -1:
-        parts.append(str(fields.charge))
-    if fields.atom_map is not None:
-        parts.append(f":{fields.atom_map}")
+    elif atom.charge > 1:
+        parts.append(f"+{atom.charge}")
+    elif atom.charge < -1:
+        parts.append(str(atom.charge))
     parts.append("]")
     return "".join(parts)
 
 
-def tokenize(text: str) -> TokenSequence:
-    """Split a SMILES or reaction SMILES string into tokens.
+def _lex(text: str, read_bracket: Callable[[str, int], object]) -> Iterator[Token]:
+    """Yield the tokens of ``text`` in order; ``read_bracket(raw, position)``
+    reads each bracket atom into its token's ``atom``.
 
-    ``Cl`` and ``Br`` are consumed greedily; bracket atoms are one token
-    whose payload is parsed into :class:`BracketFields`; ``%NN`` is a
-    two-digit ring closure; ``>`` becomes a separator token.  The empty
-    string yields an empty list (an empty reaction part).
+    Tokens are yielded as they are lexed, so a caller that rejects one
+    stops before the lexer reaches anything after it.
     """
-    tokens: list[Token] = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -227,45 +226,55 @@ def tokenize(text: str) -> TokenSequence:
             if end < 0:
                 raise UnterminatedBracket(i)
             raw = text[i : end + 1]
-            tokens.append(Token(TokenKind.BRACKET_ATOM, raw, _parse_bracket(raw, i)))
+            yield Token(TokenKind.BRACKET_ATOM, raw, read_bracket(raw, i))
             i = end + 1
         elif text.startswith(("Cl", "Br"), i):
-            tokens.append(Token(TokenKind.ORGANIC_ATOM, text[i : i + 2]))
+            yield Token(TokenKind.ORGANIC_ATOM, text[i : i + 2])
             i += 2
         elif ch in "BCNOPSFI":
-            tokens.append(Token(TokenKind.ORGANIC_ATOM, ch))
+            yield Token(TokenKind.ORGANIC_ATOM, ch)
             i += 1
         elif ch in "bcnops":
-            tokens.append(Token(TokenKind.AROMATIC_ATOM, ch))
+            yield Token(TokenKind.AROMATIC_ATOM, ch)
             i += 1
         elif ch in "-=#/\\:":
-            tokens.append(Token(TokenKind.BOND, ch))
+            yield Token(TokenKind.BOND, ch)
             i += 1
         elif ch == "(":
-            tokens.append(Token(TokenKind.BRANCH_OPEN, ch))
+            yield Token(TokenKind.BRANCH_OPEN, ch)
             i += 1
         elif ch == ")":
-            tokens.append(Token(TokenKind.BRANCH_CLOSE, ch))
+            yield Token(TokenKind.BRANCH_CLOSE, ch)
             i += 1
         elif ch.isdigit():
-            tokens.append(Token(TokenKind.RING_CLOSURE, ch))
+            yield Token(TokenKind.RING_CLOSURE, ch)
             i += 1
         elif ch == "%":
             digits = text[i + 1 : i + 3]
             if len(digits) == 2 and digits.isdigit():
-                tokens.append(Token(TokenKind.RING_CLOSURE, text[i : i + 3]))
+                yield Token(TokenKind.RING_CLOSURE, text[i : i + 3])
                 i += 3
             else:
                 raise UnrecognizedCharacter(i, "'%' must start a two-digit ring closure")
         elif ch == ".":
-            tokens.append(Token(TokenKind.DOT, ch))
+            yield Token(TokenKind.DOT, ch)
             i += 1
         elif ch == ">":
-            tokens.append(Token(TokenKind.SEPARATOR, ch))
+            yield Token(TokenKind.SEPARATOR, ch)
             i += 1
         else:
             raise UnrecognizedCharacter(i, repr(ch))
-    return tokens
+
+
+def tokenize(text: str) -> TokenSequence:
+    """Split a SMILES or reaction SMILES string into tokens.
+
+    ``Cl`` and ``Br`` are consumed greedily; bracket atoms are one token
+    whose payload is read into an :class:`Atom` (an atom map is dropped);
+    ``%NN`` is a two-digit ring closure; ``>`` becomes a separator token.
+    The empty string yields an empty list (an empty reaction part).
+    """
+    return list(_lex(text, _parse_bracket))
 
 
 def detokenize(tokens: TokenSequence) -> str:
@@ -311,16 +320,15 @@ class TopologyBond:
     symbol: str
 
 
-def _assemble(events: list[tuple[str, object]]) -> tuple[
+def _assemble(tokens: TokenSequence) -> tuple[
     list[int], list[TopologyBond], list[ValidationFailure]
 ]:
-    """Build bonds from a linear event stream.
+    """Build bonds from a token sequence.
 
-    ``events`` entries are ``(kind, value)`` with kind in ``atom``, ``bond``,
-    ``open``, ``close``, ``ring``, ``break``; value is whether the atom is
-    aromatic for ``atom``, the bond symbol for ``bond``, the ring number for
-    ``ring``, otherwise ignored.  Returns atom event indices, bonds over atom
-    ordinals, and positioned failures.
+    Returns the indices of the atom tokens, bonds over atom ordinals, and
+    failures anchored at token indices, in the order they were found.  A
+    dot or ``>`` separator breaks the chain; a separator is also a failure,
+    since reaction strings must be split into parts first.
 
     This is the one place the implicit-bond rule lives: a bond written
     without a symbol becomes ``:`` between two aromatic atoms and ``-``
@@ -332,7 +340,7 @@ def _assemble(events: list[tuple[str, object]]) -> tuple[
     failures: list[ValidationFailure] = []
     edge_set: set[frozenset[int]] = set()
     prev: int | None = None
-    pending: tuple[str, int] | None = None  # (symbol, event index)
+    pending: tuple[str, int] | None = None  # (symbol, token index)
     stack: list[tuple[int | None, bool]] = []  # (anchor, saw_atom_since_open)
     ring_open: dict[int, tuple[int, str | None, int]] = {}
 
@@ -349,11 +357,16 @@ def _assemble(events: list[tuple[str, object]]) -> tuple[
             symbol = ":" if aromatic[a] and aromatic[b] else "-"
         bonds.append(TopologyBond(a, b, symbol))
 
-    for idx, (kind, value) in enumerate(events):
-        if kind == "atom":
+    for idx, t in enumerate(tokens):
+        kind = t.kind
+        if kind in _ATOM_KINDS:
             ordinal = len(atoms)
             atoms.append(idx)
-            aromatic.append(bool(value))
+            # a pattern's bracket atom may leave aromaticity open (None)
+            aromatic.append(
+                kind is TokenKind.AROMATIC_ATOM
+                or (t.atom is not None and t.atom.aromatic is True)
+            )
             if prev is not None:
                 add_bond(prev, ordinal, pending[0] if pending else None, idx)
             elif pending is not None:
@@ -361,21 +374,21 @@ def _assemble(events: list[tuple[str, object]]) -> tuple[
             pending = None
             prev = ordinal
             stack = [(anchor, True) for anchor, _ in stack]
-        elif kind == "bond":
+        elif kind is TokenKind.BOND:
             if pending is not None:
                 fail(ValidationKind.MISPLACED_BOND, idx)
             if prev is None:
                 fail(ValidationKind.MISPLACED_BOND, idx)
             else:
-                pending = (str(value), idx)
-        elif kind == "open":
+                pending = (t.text, idx)
+        elif kind is TokenKind.BRANCH_OPEN:
             if prev is None:
                 fail(ValidationKind.MISPLACED_BRANCH, idx)
             if pending is not None:
                 fail(ValidationKind.MISPLACED_BOND, pending[1])
                 pending = None
             stack.append((prev, False))
-        elif kind == "close":
+        elif kind is TokenKind.BRANCH_CLOSE:
             if pending is not None:
                 fail(ValidationKind.MISPLACED_BOND, pending[1])
                 pending = None
@@ -386,12 +399,12 @@ def _assemble(events: list[tuple[str, object]]) -> tuple[
             if not saw_atom:
                 fail(ValidationKind.EMPTY_BRANCH, idx)
             prev = anchor
-        elif kind == "ring":
+        elif kind is TokenKind.RING_CLOSURE:
             if prev is None:
                 fail(ValidationKind.MISPLACED_RING_CLOSURE, idx)
                 pending = None
                 continue
-            number = int(value)  # type: ignore[arg-type]
+            number = t.ring_number()
             symbol = pending[0] if pending else None
             pending = None
             if number in ring_open:
@@ -405,7 +418,9 @@ def _assemble(events: list[tuple[str, object]]) -> tuple[
                 add_bond(other, prev, symbol or other_symbol, idx)
             else:
                 ring_open[number] = (prev, symbol, idx)
-        elif kind == "break":
+        else:  # DOT or SEPARATOR
+            if kind is TokenKind.SEPARATOR:
+                fail(ValidationKind.UNEXPECTED_SEPARATOR, idx)
             if pending is not None:
                 fail(ValidationKind.MISPLACED_BOND, pending[1])
                 pending = None
@@ -413,51 +428,23 @@ def _assemble(events: list[tuple[str, object]]) -> tuple[
                 # leading dot or dot directly after another break
                 fail(ValidationKind.MISPLACED_DOT, idx)
             prev = None
-        else:  # pragma: no cover - internal misuse
-            raise ValueError(f"unknown event kind {kind!r}")
 
     if pending is not None:
         fail(ValidationKind.MISPLACED_BOND, pending[1])
     for _, (_, _, idx) in ring_open.items():
         fail(ValidationKind.UNPAIRED_RING_CLOSURE, idx)
     for _ in stack:
-        fail(ValidationKind.UNCLOSED_BRANCH, len(events) - 1 if events else 0)
-    if events and events[-1][0] == "break":
-        fail(ValidationKind.MISPLACED_DOT, len(events) - 1)
+        fail(ValidationKind.UNCLOSED_BRANCH, len(tokens) - 1 if tokens else 0)
+    if tokens and tokens[-1].kind in (TokenKind.DOT, TokenKind.SEPARATOR):
+        fail(ValidationKind.MISPLACED_DOT, len(tokens) - 1)
     return atoms, bonds, failures
-
-
-def _events(tokens: TokenSequence) -> list[tuple[str, object]]:
-    out: list[tuple[str, object]] = []
-    for t in tokens:
-        if t.kind is TokenKind.AROMATIC_ATOM:
-            out.append(("atom", True))
-        elif t.kind is TokenKind.ORGANIC_ATOM:
-            out.append(("atom", False))
-        elif t.kind is TokenKind.BRACKET_ATOM:
-            assert t.bracket is not None
-            out.append(("atom", t.bracket.aromatic))
-        elif t.kind is TokenKind.BOND:
-            out.append(("bond", t.text))
-        elif t.kind is TokenKind.BRANCH_OPEN:
-            out.append(("open", None))
-        elif t.kind is TokenKind.BRANCH_CLOSE:
-            out.append(("close", None))
-        elif t.kind is TokenKind.RING_CLOSURE:
-            out.append(("ring", t.ring_number()))
-        else:  # DOT and SEPARATOR both break the chain
-            out.append(("break", None))
-    return out
 
 
 def _structure(tokens: TokenSequence) -> tuple[
     list[int], list[TopologyBond], ValidationResult
 ]:
     """One structure pass: atom token indices, bonds and the sorted failures."""
-    atoms, bonds, failures = _assemble(_events(tokens))
-    for i, t in enumerate(tokens):
-        if t.kind is TokenKind.SEPARATOR:
-            failures.append(ValidationFailure(ValidationKind.UNEXPECTED_SEPARATOR, i))
+    atoms, bonds, failures = _assemble(tokens)
     failures.sort(key=lambda f: (f.index, f.kind.value))
     return atoms, bonds, ValidationResult(tuple(failures))
 

@@ -5,9 +5,11 @@ product_pattern``.  Patterns are mapped-atom pattern SMILES: bare atoms
 constrain element and aromaticity; bracket atoms add hydrogen count,
 charge, and ``;D`` degree bounds, e.g. ``[OH1;D1:3]``.  Map numbers tie
 substrate atoms to product atoms; unmapped product atoms are introduced
-by the template.  A parsed pattern is a :class:`MolGraph` whose atoms are
-:class:`PatternAtom` constraints; its bonds come from the SMILES
-assembler, so an implicit bond follows the molecule rule.
+by the template.  A pattern is lexed by the molecule lexer with its own
+bracket reader, and its bonds come from the molecule assembler, so an
+implicit bond follows the molecule rule; dots, ``>`` and stereo bonds are
+refused.  A parsed pattern is a :class:`MolGraph` whose atoms are
+:class:`PatternAtom` constraints.
 
 Application edits a copy of the substrate per the product pattern and
 keeps the component(s) containing product atoms.  When different
@@ -36,7 +38,7 @@ from .molgraph import (
     parse_string,
 )
 from .pipeline import ReactionRecord
-from .smiles import _assemble, _parse_charge
+from .smiles import Token, TokenizeError, TokenKind, _assemble, _lex, _parse_charge
 
 __all__ = [
     "PatternAtom",
@@ -117,11 +119,6 @@ class PatternGraph(MolGraph):
         }
 
 
-_PATTERN_TOKEN_RE = re.compile(
-    r"(?P<bracket>\[[^\]]*\])|(?P<organic>Cl|Br|[BCNOPSFI])|(?P<aromatic>[bcnops])"
-    r"|(?P<bond>[-=#:])|(?P<open>\()|(?P<close>\))|(?P<ring>%\d{2}|\d)"
-)
-
 _PATTERN_BRACKET_RE = re.compile(
     r"\A\[(?P<element>\*|[A-Z][a-z]?|[bcnops])?"
     r"(?P<hcount>H\d?)?"
@@ -129,6 +126,10 @@ _PATTERN_BRACKET_RE = re.compile(
     r"(?:;D(?P<dmin>\d+)(?:-(?P<dmax>\d+))?)?"
     r"(?::(?P<map>\d+))?\]\Z"
 )
+
+# Molecule tokens a pattern may not hold: components, reaction separators
+# and stereo bonds.
+_REJECTED_TOKENS = frozenset({".", ">", "/", "\\"})
 
 
 def _parse_pattern_bracket(raw: str, position: int) -> PatternAtom:
@@ -144,7 +145,6 @@ def _parse_pattern_bracket(raw: str, position: int) -> PatternAtom:
     else:
         aromatic = False
     hcount = m.group("hcount")
-    h = None if hcount is None else (1 if hcount == "H" else int(hcount[1:]))
     dmin = m.group("dmin")
     dmax = m.group("dmax")
     min_degree = int(dmin) if dmin is not None else 0
@@ -156,7 +156,7 @@ def _parse_pattern_bracket(raw: str, position: int) -> PatternAtom:
     return PatternAtom(
         element=element,
         aromatic=aromatic,
-        hcount=h,
+        hcount=None if hcount is None else int(hcount[1:] or 1),
         charge=None if charge is None else _parse_charge(charge),
         min_degree=min_degree,
         max_degree=max_degree,
@@ -165,47 +165,37 @@ def _parse_pattern_bracket(raw: str, position: int) -> PatternAtom:
 
 
 def parse_pattern(text: str) -> PatternGraph:
-    """Parse a mapped-atom pattern SMILES string."""
-    atoms: list[PatternAtom] = []
-    events: list[tuple[str, object]] = []
-    pos = 0
-    for m in _PATTERN_TOKEN_RE.finditer(text):
-        if m.start() != pos:
-            raise PatternSyntaxError(f"unrecognized pattern text {text[pos]!r}", pos)
-        pos = m.end()
-        if m.group("bracket"):
-            atoms.append(_parse_pattern_bracket(m.group("bracket"), m.start()))
-            events.append(("atom", atoms[-1].aromatic is True))
-        elif m.group("organic"):
-            atoms.append(PatternAtom(element=m.group("organic"), aromatic=False))
-            events.append(("atom", False))
-        elif m.group("aromatic"):
-            atoms.append(
-                PatternAtom(element=m.group("aromatic").capitalize(), aromatic=True)
-            )
-            events.append(("atom", True))
-        elif m.group("bond"):
-            events.append(("bond", m.group("bond")))
-        elif m.group("open"):
-            events.append(("open", None))
-        elif m.group("close"):
-            events.append(("close", None))
-        else:
-            ring = m.group("ring")
-            events.append(("ring", int(ring[1:]) if ring.startswith("%") else int(ring)))
-    if pos != len(text):
-        raise PatternSyntaxError(f"unrecognized pattern text {text[pos]!r}", pos)
-    if not atoms:
-        raise PatternSyntaxError("pattern has no atoms", 0)
+    """Parse a mapped-atom pattern SMILES string.
 
-    _, bonds, failures = _assemble(events)
+    Patterns go through the molecule lexer with their own bracket reader.
+    A lexing error or a rejected token is reported at its character
+    position, a structure failure at its token index.
+    """
+    tokens: list[Token] = []
+    try:
+        for t in _lex(text, _parse_pattern_bracket):
+            if t.text in _REJECTED_TOKENS:
+                position = sum(len(u.text) for u in tokens)
+                raise PatternSyntaxError(f"unrecognized pattern text {t.text!r}", position)
+            tokens.append(t)
+    except TokenizeError as exc:
+        raise PatternSyntaxError(
+            f"unrecognized pattern text {text[exc.position]!r}", exc.position
+        ) from exc
+    # _assemble's first failure, the first one found: sorting them, as
+    # _structure does, would move C1CC)C's report from ')' to '1'
+    atom_tokens, bonds, failures = _assemble(tokens)
+    if not atom_tokens:
+        raise PatternSyntaxError("pattern has no atoms", 0)
     if failures:
         first = failures[0]
         raise PatternSyntaxError(f"bad pattern structure ({first.kind.value})", first.index)
 
     g = PatternGraph()
-    for atom in atoms:
-        g.add_atom(atom)
+    for index in atom_tokens:
+        t = tokens[index]
+        aromatic = t.kind is TokenKind.AROMATIC_ATOM
+        g.add_atom(t.atom or PatternAtom(t.text.capitalize(), aromatic))
     for bond in bonds:
         g.add_bond(bond.a, bond.b, BOND_OF_SYMBOL[bond.symbol])
     return g

@@ -346,6 +346,25 @@ class TestIngestAndSplit:
         assert code == 1
         assert "fractions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "out,message",
+        [
+            ("a-file/splits", "output directory cannot be made: {root}/a-file/splits "
+                              "({root}/a-file is not a directory)"),
+            ("splits", "output path is a directory: {root}/splits/test.rsmi"),
+        ],
+        ids=["file-in-path", "test-rsmi-is-a-directory"],
+    )
+    def test_split_checks_out_before_reading_records(self, tmp_path, capsys, out, message):
+        data = tmp_path / "data.rsmi"
+        data.write_text("C=C.Cl>>CCCl\nC1CC>>CC\n")  # the second cannot normalize
+        (tmp_path / "a-file").write_text("")
+        (tmp_path / "splits" / "test.rsmi").mkdir(parents=True)
+        argv = ["split", "--data", str(data), "--out", str(tmp_path / out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message.format(root=tmp_path)}\n"
+        assert sorted(p.name for p in (tmp_path / "splits").iterdir()) == ["test.rsmi"]
+
 
 class TestTrain:
     def test_checkpoint_and_vocabs_written(self, trained):

@@ -9,6 +9,7 @@ import rxnseq
 from rxnseq.cli import main
 from rxnseq.pipeline import ingest_file, normalize, read_reactions, write_reactions
 from rxnseq.templates import (
+    PatternGraph,
     default_substrate_filter,
     enumerate_substrates,
     generate_dataset,
@@ -70,6 +71,28 @@ def test_gen_output_is_pinned(generated):
     assert (
         records_digest(records)
         == "22503219e4e6ff7aa1eda4cd7ffffdf9bfd829ab89f86b9530fe351196c68017"
+    )
+
+
+def patterns_digest(patterns: list[PatternGraph]) -> str:
+    text = "".join(repr((p.atoms, p.bonds())) + "\n" for p in patterns)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Every parsed pattern, atom constraints and bonds alike: the gen digest
+# shows a pattern change only when it moves a generated record.
+def test_parsed_patterns_are_pinned():
+    patterns = [
+        pattern
+        for t in load_templates_file(DATA / "templates.txt")
+        for pattern in (t.substrate_pattern, t.product_pattern)
+    ]
+    f = default_substrate_filter()
+    patterns += [*f.forbidden_motifs, *(pattern for _, pattern in f.functional_groups)]
+    assert len(patterns) == 52
+    assert (
+        patterns_digest(patterns)
+        == "2d15d4cfe9e529329e5f51764ef74edd542adfce6f9e40f1931451afc5fbfbec"
     )
 
 

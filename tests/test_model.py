@@ -482,10 +482,6 @@ class TestTraining:
         enc = np.array(example.encoder_ids)
         assert predict(built, enc) == predict(built, enc)
 
-    def test_max_len_zero_gives_empty(self):
-        built, example, *_ = overfit_single()
-        assert predict(built, np.array(example.encoder_ids), max_len=0) == []
-
     def test_attention_rows_normalized(self):
         built, example, *_ = overfit_single()
         ids, records = predict_with_attention(built, np.array(example.encoder_ids))

@@ -96,6 +96,36 @@ def test_canonical_multi_component_sorted():
     assert joined.count(".") == 1
 
 
+# Bracket atoms through parse and emission: isotopes, chirality, charges,
+# aromatic brackets, the wildcard, and brackets that collapse to bare atoms.
+BRACKET_CANONICAL = [
+    ("[13CH3]C", "C[13CH3]"),
+    ("C[C@@H](O)CC", "CC[C@@H](C)O"),
+    ("[NH4+]", "[NH4+]"),
+    ("[Fe+2]", "[Fe+2]"),
+    ("[O-2]", "[O-2]"),
+    ("c1cc[nH]c1", "c1cc[nH]c1"),
+    ("c1cc[se]c1", "c1cc[se]c1"),
+    ("[*]C", "[*]C"),
+    ("[CH4]", "C"),
+    ("[2H]C", "C[2H]"),
+    ("[C-]#[O+]", "[C-]#[O+]"),
+]
+
+
+@pytest.mark.parametrize("text,expected", BRACKET_CANONICAL)
+def test_canonical_bracket_atoms_are_pinned(text, expected):
+    assert canonical_from_string(text) == expected
+
+
+def test_graph_atoms_are_not_shared_with_tokens():
+    tokens = tokenize("[13CH3]C")
+    g = parse_graph(tokens)
+    g.atoms[0].charge = 1
+    assert tokens[0].atom == Atom(element="C", hcount=3, isotope=13)
+    assert parse_graph(tokens).atoms[0].charge == 0
+
+
 MOLECULES = [
     "C",
     "CCO",

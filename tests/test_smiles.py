@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rxnseq.smiles import (
-    BracketFields,
+    Atom,
     MalformedReaction,
     Token,
     TokenKind,
@@ -16,7 +16,6 @@ from rxnseq.smiles import (
     validate,
     ValidationKind,
     _assemble,
-    _events,
 )
 from rxnseq.molgraph import strip_atom_maps
 from rxnseq.pipeline import ingest_lines, parse_record
@@ -76,15 +75,16 @@ def test_round_trip(text):
 
 
 def test_bracket_fields():
+    # the atom map is accepted and dropped
     (tok,) = tokenize("[13C@@H2+2:45]")
-    assert tok.bracket == BracketFields(
-        element="C", isotope=13, chirality="@@", hcount=2, charge=2, atom_map=45
-    )
+    assert tok.atom == Atom(element="C", isotope=13, chirality="@@", hcount=2, charge=2)
     (tok,) = tokenize("[O-]")
-    assert tok.bracket.charge == -1
-    assert tok.bracket.hcount == 0
+    assert tok.atom == Atom(element="O", charge=-1, hcount=0)
     (tok,) = tokenize("[nH]")
-    assert tok.bracket.aromatic and tok.bracket.hcount == 1
+    assert tok.atom == Atom(element="N", aromatic=True, hcount=1)
+    (tok,) = tokenize("[se]")
+    assert tok.atom == Atom(element="Se", aromatic=True, hcount=0)
+    assert all(t.atom is None for t in tokenize("Cl/C(=O)c1ccccc1%10"))
 
 
 def test_two_letter_greedy():
@@ -248,7 +248,7 @@ EXPLICIT_BOND_CASES = [
 
 @pytest.mark.parametrize("text,counts", EXPLICIT_BOND_CASES)
 def test_assemble_gives_every_bond_an_explicit_symbol(text, counts):
-    _, bonds, failures = _assemble(_events(tokenize(text)))
+    _, bonds, failures = _assemble(tokenize(text))
     assert failures == []
     symbols = [bond.symbol for bond in bonds]
     assert {s: symbols.count(s) for s in set(symbols)} == counts

@@ -53,13 +53,38 @@ def test_parse_pattern_atoms():
     assert len(p.bonds()) == 6
 
 
+# Each rejected pattern with the position it is reported at: a lexing
+# error or a rejected token (stereo bond, dot, separator) at its character
+# position, a structure failure at its token index.
+PATTERN_ERRORS = [
+    ("C/C", 1),
+    ("C\\C", 1),
+    ("C.C", 1),
+    ("C>C", 1),
+    ("C%1", 1),
+    ("C C", 1),
+    ("C1CC", 1),
+    ("[C", 0),
+    ("()", 0),
+    ("C(C", 2),
+    ("", 0),
+    ("[C:1]=", 1),
+    ("[Zz!]", 0),
+    ("[C:1]/C", 5),
+    ("C.C%1", 1),
+    ("[C;D2-3:1]x", 10),
+    ("C=1CCCCC#1", 9),
+    # two structure failures: the first one found is reported
+    ("C1CC)C", 4),
+]
+
+
 def test_parse_pattern_errors():
-    with pytest.raises(PatternSyntaxError):
-        parse_pattern("[C:1]=")
-    with pytest.raises(PatternSyntaxError):
-        parse_pattern("")
-    with pytest.raises(PatternSyntaxError):
-        parse_pattern("[Zz!]")
+    for text, position in PATTERN_ERRORS:
+        with pytest.raises(PatternSyntaxError) as err:
+            parse_pattern(text)
+        assert err.value.position == position, text
+        assert str(err.value).count("at position") == 1, text
 
 
 def test_match_pattern_two_embeddings():
