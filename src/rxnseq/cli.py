@@ -73,18 +73,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}".rstrip())
 
 
-# Each setting a key=value config file may provide, with its type and default;
-# flags override the file.  A model setting left at None takes its default
-# from ModelConfig (buckets from DEFAULT_BUCKETS).
+# train's settings, each written once: its type, its default and the
+# ModelConfig field it sets (None for buckets, batch_size and steps).  Each is
+# a --flag (the key with '_' as '-') and a key=value config-file key; flags
+# override the file.  A model setting left at None takes its default from
+# ModelConfig (buckets from DEFAULT_BUCKETS).
 _SETTINGS = {
-    "seed": (int, None),
-    "hidden_dim": (int, None),
-    "embedding_dim": (int, None),
-    "layers": (int, None),
-    "buckets": (str, None),
-    "batch_size": (int, 32),
-    "steps": (int, 500),
-    "lr": (float, None),
+    "seed": (int, None, "seed"),
+    "hidden_dim": (int, None, "hidden_dim"),
+    "embedding_dim": (int, None, "embedding_dim"),
+    "layers": (int, None, "num_layers"),
+    "buckets": (str, None, None),
+    "batch_size": (int, 32, None),
+    "steps": (int, 500, None),
+    "lr": (float, None, "learning_rate"),
 }
 
 
@@ -123,7 +125,7 @@ def _read_config_file(path: str) -> dict:
 
 def _effective(args) -> dict:
     """Merge defaults, then config file, then explicit flags."""
-    merged = {key: default for key, (_, default) in _SETTINGS.items()}
+    merged = {key: default for key, (_, default, _) in _SETTINGS.items()}
     if getattr(args, "config", None):
         merged.update(_read_config_file(args.config))
     for key in _SETTINGS:
@@ -381,19 +383,16 @@ def cmd_train(args) -> int:
     examples = [
         encode_example(record, input_vocab, output_vocab, buckets) for record in records
     ]
-    given = {
-        "num_layers": cfg["layers"],
-        "embedding_dim": cfg["embedding_dim"],
-        "hidden_dim": cfg["hidden_dim"],
-        "learning_rate": cfg["lr"],
-        "seed": cfg["seed"],
-    }
     try:
         config = ModelConfig(
             input_vocab_size=len(input_vocab),
             output_vocab_size=len(output_vocab),
             buckets=buckets,
-            **{field: value for field, value in given.items() if value is not None},
+            **{
+                field: cfg[key]
+                for key, (_, _, field) in _SETTINGS.items()
+                if field is not None and cfg[key] is not None
+            },
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -471,12 +470,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .evaluation import (
-        EvaluationError,
-        evaluate,
-        write_report_csv,
-        write_report_json,
-    )
+    from .evaluation import EvaluationError, evaluate, write_report
 
     model, input_vocab, output_vocab = _load_model_and_vocabs(args.checkpoint)
     if args.report:
@@ -496,8 +490,7 @@ def cmd_eval(args) -> int:
         report.n / seconds,
     )
     if args.report:
-        write_report_csv(report, f"{args.report}.csv")
-        write_report_json(report, f"{args.report}.json")
+        write_report(report, args.report)
     print(json.dumps(report.summary(), indent=2, sort_keys=True))
     return 0
 
@@ -525,16 +518,8 @@ def cmd_export_embeddings(args) -> int:
 
 
 def _add_model_flags(parser) -> None:
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--hidden-dim", type=int, default=None, dest="hidden_dim")
-    parser.add_argument(
-        "--embedding-dim", type=int, default=None, dest="embedding_dim"
-    )
-    parser.add_argument("--layers", type=int, default=None)
-    parser.add_argument("--buckets", type=str, default=None)
-    parser.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    parser.add_argument("--steps", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None)
+    for key, (kind, _, _) in _SETTINGS.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", type=kind, default=None, dest=key)
     parser.add_argument("--config", type=str, default=None)
 
 

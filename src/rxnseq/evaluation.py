@@ -3,6 +3,11 @@
 Scores decoded product strings against references (validity, canonical
 multiset equality, fingerprint similarity), aggregates the four headline
 metrics, and exports attention matrices and embedding tables as CSV.
+
+Each record's dataclass is the one list of its fields: ``write_report``'s
+CSV columns are ExampleRow's fields, formatted by their declared types, and
+``EvalReport.summary()`` (the report JSON and ``rxnseq eval``'s stdout) is
+every EvalReport field but ``rows``.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import csv
 import functools
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +43,7 @@ from .pipeline import (
     encode_source,
     source_string,
     target_string,
+    write_all_atomic,
     write_atomic,
 )
 from .smiles import SmilesError
@@ -128,14 +134,8 @@ class EvalReport:
     rows: tuple[ExampleRow, ...]
 
     def summary(self) -> dict:
-        return {
-            "n": self.n,
-            "correct_ratio": self.correct_ratio,
-            "mean_tanimoto": self.mean_tanimoto,
-            "invalid_ratio": self.invalid_ratio,
-            "mean_cross_entropy": self.mean_cross_entropy,
-            "skipped": self.skipped,
-        }
+        """Every field but ``rows``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
 
 
 def evaluate(
@@ -216,40 +216,29 @@ def _fmt(value: float) -> str:
     return f"{value:.8g}"
 
 
-def write_report_csv(report: EvalReport, path: str | Path) -> None:
+# write_report's cell format for each ExampleRow column, by its declared type
+# (not the value's, so a numpy scalar cannot change a column's format).
+_COLUMNS = tuple(
+    (f.name, {"bool": int, "float": _fmt}.get(f.type, str)) for f in fields(ExampleRow)
+)
+
+
+def write_report(report: EvalReport, stem: str | Path) -> None:
+    """Write ``stem.csv``, one row per record under ExampleRow's field names,
+    and ``stem.json``, the summary, as one set: a failed write leaves both
+    old files in place."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
-    writer.writerow(
-        [
-            "index",
-            "source",
-            "reference",
-            "predicted",
-            "valid",
-            "exact",
-            "tanimoto",
-            "cross_entropy",
-        ]
+    writer.writerow(name for name, _ in _COLUMNS)
+    for row in report.rows:
+        writer.writerow(cell(getattr(row, name)) for name, cell in _COLUMNS)
+    summary = json.dumps(report.summary(), indent=2, sort_keys=True) + "\n"
+    write_all_atomic(
+        {
+            f"{stem}.csv": buffer.getvalue().encode("utf-8"),
+            f"{stem}.json": summary.encode("utf-8"),
+        }
     )
-    for r in report.rows:
-        writer.writerow(
-            [
-                r.index,
-                r.source,
-                r.reference,
-                r.predicted,
-                int(r.valid),
-                int(r.exact),
-                _fmt(r.tanimoto),
-                _fmt(r.cross_entropy),
-            ]
-        )
-    write_atomic(path, buffer.getvalue().encode("utf-8"))
-
-
-def write_report_json(report: EvalReport, path: str | Path) -> None:
-    text = json.dumps(report.summary(), indent=2, sort_keys=True) + "\n"
-    write_atomic(path, text.encode("utf-8"))
 
 
 def export_attention(
@@ -295,7 +284,8 @@ def export_embeddings(
     """Embedding rows for the most frequent tokens of each vocabulary.
 
     Vocabulary ids are frequency-ordered, so the top-k tokens are simply the
-    first k regular ids; rank 1 is the most common.
+    first k regular ids; rank 1 is the most common.  The two files are
+    written as one set.
     """
     if top_k < 0:
         raise ValueError("top_k must be non-negative")
@@ -303,6 +293,7 @@ def export_embeddings(
         (input_vocab, model.params.enc_embed, encoder_path),
         (output_vocab, model.params.dec_embed, decoder_path),
     ]
+    files = {}
     for vocab, table, path in sides:
         k = min(top_k, len(vocab) - 4)
         buffer = io.StringIO(newline="")
@@ -314,4 +305,5 @@ def export_embeddings(
             writer.writerow(
                 [vocab.token_of(token_id), rank] + [_fmt(v) for v in table[token_id]]
             )
-        write_atomic(path, buffer.getvalue().encode("utf-8"))
+        files[path] = buffer.getvalue().encode("utf-8")
+    write_all_atomic(files)

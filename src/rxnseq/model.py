@@ -823,9 +823,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def load_checkpoint(
-    path: str | Path, expected: ModelConfig | None = None, dtype=np.float32
-) -> Model:
+def load_checkpoint(path: str | Path) -> Model:
     reader = _Reader(Path(path).read_bytes())
     magic = reader.take(4)
     if magic != CHECKPOINT_MAGIC:
@@ -834,12 +832,8 @@ def load_checkpoint(
     if version != CHECKPOINT_VERSION:
         raise VersionMismatch(f"unsupported checkpoint version {version}")
     config = _config_from_bytes(reader.take(reader.u32()))
-    if expected is not None and expected != config:
-        raise ConfigMismatch(
-            f"checkpoint config {config} does not match expected {expected}"
-        )
     try:
-        params = zero_params(config, dtype)
+        params = zero_params(config)
     except MemoryError as exc:
         raise ConfigMismatch(f"config block implies tensors too large: {exc}") from exc
     slots = dict(_checkpoint_tensors(params))

@@ -72,7 +72,7 @@ class GraphError(ValueError):
 
 class InvalidStructure(GraphError):
     def __init__(self, failures: tuple[ValidationFailure, ...]):
-        detail = ", ".join(f"{f.kind.value}@{f.index}" for f in failures)
+        detail = ", ".join(f"{f.kind.value}@{f.position}" for f in failures)
         super().__init__(f"structurally invalid token sequence: {detail}")
         self.failures = failures
 

@@ -17,7 +17,7 @@ import os
 import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -125,23 +125,12 @@ class RejectReport:
 
     @property
     def total(self) -> int:
-        return (
-            self.parse_failures
-            + self.source_too_long
-            + self.products_too_long
-            + self.too_many_products
-            + self.accepted
-        )
+        return sum(getattr(self, f.name) for f in fields(self))
 
     def tsv(self) -> str:
-        rows = [
-            ("parse_failures", self.parse_failures),
-            ("source_too_long", self.source_too_long),
-            ("products_too_long", self.products_too_long),
-            ("too_many_products", self.too_many_products),
-            ("accepted", self.accepted),
-            ("total", self.total),
-        ]
+        """One ``name<TAB>count`` row per field, in field order, then the total."""
+        rows = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        rows.append(("total", self.total))
         return "".join(f"{name}\t{count}\n" for name, count in rows)
 
 
@@ -494,11 +483,19 @@ def write_reactions(records: Iterable[ReactionRecord], path: str | Path) -> None
 
 
 def read_reactions(path: str | Path) -> list[ReactionRecord]:
+    """The records of a reaction file; blank and ``#`` lines are skipped.
+
+    A malformed record raises MalformedReaction naming its line, counted
+    from 1 over every line of the file.
+    """
     records = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            records.append(parse_record(line))
+            try:
+                records.append(parse_record(line))
+            except smiles.MalformedReaction as exc:
+                raise smiles.MalformedReaction(f"line {number}: {exc}") from exc
     return records

@@ -24,6 +24,7 @@ import enum
 import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 __all__ = [
     "AROMATIC_SUBSET",
@@ -299,7 +300,7 @@ class ValidationKind(enum.Enum):
 @dataclass(frozen=True)
 class ValidationFailure:
     kind: ValidationKind
-    index: int  # token index the failure is anchored to
+    position: int  # first character of the token the failure is anchored to
 
 
 @dataclass(frozen=True)
@@ -326,9 +327,10 @@ def _assemble(tokens: TokenSequence) -> tuple[
     """Build bonds from a token sequence.
 
     Returns the indices of the atom tokens, bonds over atom ordinals, and
-    failures anchored at token indices, in the order they were found.  A
-    dot or ``>`` separator breaks the chain; a separator is also a failure,
-    since reaction strings must be split into parts first.
+    failures in the order they were found, each at the first character of
+    the token it is anchored to.  A dot or ``>`` separator breaks the chain;
+    a separator is also a failure, since reaction strings must be split into
+    parts first.
 
     This is the one place the implicit-bond rule lives: a bond written
     without a symbol becomes ``:`` between two aromatic atoms and ``-``
@@ -337,7 +339,7 @@ def _assemble(tokens: TokenSequence) -> tuple[
     atoms: list[int] = []
     aromatic: list[bool] = []
     bonds: list[TopologyBond] = []
-    failures: list[ValidationFailure] = []
+    found: list[tuple[ValidationKind, int]] = []  # (kind, token index)
     edge_set: set[frozenset[int]] = set()
     prev: int | None = None
     pending: tuple[str, int] | None = None  # (symbol, token index)
@@ -345,7 +347,7 @@ def _assemble(tokens: TokenSequence) -> tuple[
     ring_open: dict[int, tuple[int, str | None, int]] = {}
 
     def fail(kind: ValidationKind, index: int) -> None:
-        failures.append(ValidationFailure(kind, index))
+        found.append((kind, index))
 
     def add_bond(a: int, b: int, symbol: str | None, index: int) -> None:
         key = frozenset((a, b))
@@ -437,7 +439,11 @@ def _assemble(tokens: TokenSequence) -> tuple[
         fail(ValidationKind.UNCLOSED_BRANCH, len(tokens) - 1 if tokens else 0)
     if tokens and tokens[-1].kind in (TokenKind.DOT, TokenKind.SEPARATOR):
         fail(ValidationKind.MISPLACED_DOT, len(tokens) - 1)
-    return atoms, bonds, failures
+    if not found:
+        return atoms, bonds, []
+    # token indices become character offsets only once a failure exists
+    offsets = list(accumulate((len(t.text) for t in tokens), initial=0))
+    return atoms, bonds, [ValidationFailure(kind, offsets[i]) for kind, i in found]
 
 
 def _structure(tokens: TokenSequence) -> tuple[
@@ -445,7 +451,7 @@ def _structure(tokens: TokenSequence) -> tuple[
 ]:
     """One structure pass: atom token indices, bonds and the sorted failures."""
     atoms, bonds, failures = _assemble(tokens)
-    failures.sort(key=lambda f: (f.index, f.kind.value))
+    failures.sort(key=lambda f: (f.position, f.kind.value))
     return atoms, bonds, ValidationResult(tuple(failures))
 
 
@@ -453,8 +459,9 @@ def validate(tokens: TokenSequence) -> ValidationResult:
     """Structure-check a token sequence without raising.
 
     Checks branch balance, ring-closure pairing, bond placement and dot
-    placement.  ``>`` separators are rejected here: reaction strings must
-    be split into parts before structural validation.
+    placement.  Failures come sorted by position, which counts characters
+    from the start of the tokens' text.  ``>`` separators are rejected here:
+    reaction strings must be split into parts before structural validation.
     """
     return _structure(tokens)[2]
 

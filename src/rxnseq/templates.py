@@ -168,8 +168,8 @@ def parse_pattern(text: str) -> PatternGraph:
     """Parse a mapped-atom pattern SMILES string.
 
     Patterns go through the molecule lexer with their own bracket reader.
-    A lexing error or a rejected token is reported at its character
-    position, a structure failure at its token index.
+    A lexing error, a rejected token or a structure failure is reported at
+    its character position.
     """
     tokens: list[Token] = []
     try:
@@ -189,7 +189,9 @@ def parse_pattern(text: str) -> PatternGraph:
         raise PatternSyntaxError("pattern has no atoms", 0)
     if failures:
         first = failures[0]
-        raise PatternSyntaxError(f"bad pattern structure ({first.kind.value})", first.index)
+        raise PatternSyntaxError(
+            f"bad pattern structure ({first.kind.value})", first.position
+        )
 
     g = PatternGraph()
     for index in atom_tokens:

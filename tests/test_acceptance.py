@@ -21,8 +21,7 @@ from rxnseq.evaluation import (
     evaluate,
     export_attention,
     score_prediction,
-    write_report_csv,
-    write_report_json,
+    write_report,
 )
 from rxnseq.model import (
     ModelConfig,
@@ -321,8 +320,7 @@ def test_family_model_generalizes_to_ring_homologs(tmp_path):
     fit(model, examples, steps=2500, batch_size=64, seed=11, plateau_window=2500)
 
     report = evaluate(model, holdout_records, input_vocab, output_vocab)
-    write_report_csv(report, tmp_path / "holdout_report.csv")
-    write_report_json(report, tmp_path / "holdout_report.json")
+    write_report(report, tmp_path / "holdout_report")
     summary = report.summary()
     for key in ("correct_ratio", "mean_tanimoto", "invalid_ratio", "mean_cross_entropy"):
         assert math.isfinite(summary[key])

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from rxnseq import pipeline
-from rxnseq.cli import main
+from rxnseq.cli import build_parser, main
 
 TRAIN_LINES = "C=C.Cl>>CCCl\nC=C.Br>>CCBr\nC=C.O>>CCO\n"
 
@@ -287,8 +287,10 @@ class TestIngestAndSplit:
         ), line
         assert capsys.readouterr().out == ""
         assert out.read_text() == "C=C.Cl>>CCCl\n"
-        expected = pipeline.RejectReport(parse_failures=1, accepted=1).tsv()
-        assert report.read_text() == expected
+        assert report.read_text() == (
+            "parse_failures\t1\nsource_too_long\t0\nproducts_too_long\t0\n"
+            "too_many_products\t0\naccepted\t1\ntotal\t2\n"
+        )
 
     def test_split_partitions_and_is_deterministic(self, tmp_path):
         data = tmp_path / "data.rsmi"
@@ -411,6 +413,24 @@ class TestTrain:
         monkeypatch.undo()
         assert main(argv) == 0
         assert all((tmp_path / name).read_bytes() != old[name] for name in names)
+
+    def test_options_are_pinned(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        options = [(a.option_strings, a.dest) for a in sub.choices["train"]._actions]
+        assert options == [
+            (["-h", "--help"], "help"),
+            (["--data"], "data"),
+            (["--out"], "out"),
+            (["--seed"], "seed"),
+            (["--hidden-dim"], "hidden_dim"),
+            (["--embedding-dim"], "embedding_dim"),
+            (["--layers"], "layers"),
+            (["--buckets"], "buckets"),
+            (["--batch-size"], "batch_size"),
+            (["--steps"], "steps"),
+            (["--lr"], "lr"),
+            (["--config"], "config"),
+        ]
 
     def test_final_line_reports_wall_time_and_steps_per_second(self, tmp_path, caplog):
         data = tmp_path / "train.rsmi"
@@ -688,6 +708,31 @@ class TestEval:
         assert timings[0].startswith("evaluated 3 records (0 skipped) in ")
         assert timings[0].endswith(" records/s")
 
+    def test_failed_report_write_keeps_both_old_files(
+        self, trained, tmp_path, monkeypatch
+    ):
+        _, data, checkpoint = trained
+        subset = tmp_path / "subset.rsmi"
+        subset.write_text(TRAIN_LINES.splitlines(keepends=True)[0])
+        argv = ["eval", "--checkpoint", str(checkpoint), "--report", str(tmp_path / "report")]
+        assert main(argv + ["--data", str(data)]) == 0
+        names = ("report.csv", "report.json")
+        old = {name: (tmp_path / name).read_bytes() for name in names}
+        write_bytes = Path.write_bytes
+
+        def disk_full(path, data):
+            if path.name.startswith(".report.json."):
+                raise OSError(28, "No space left on device")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
+        assert main(argv + ["--data", str(subset)]) == 1
+        assert {name: (tmp_path / name).read_bytes() for name in names} == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(("subset.rsmi", *names))
+        monkeypatch.undo()
+        assert main(argv + ["--data", str(subset)]) == 0
+        assert all((tmp_path / name).read_bytes() != old[name] for name in names)
+
     def test_product_less_record_is_input_error_naming_it(
         self, trained, tmp_path, capsys
     ):
@@ -752,6 +797,31 @@ class TestExports:
             assert 1 < len(rows) <= 6
 
 
+    def test_failed_embeddings_write_keeps_both_old_files(
+        self, trained, tmp_path, monkeypatch
+    ):
+        _, _, checkpoint = trained
+        argv = ["export-embeddings", "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "emb")]
+        assert main(argv + ["--top-k", "2"]) == 0
+        names = ("emb.encoder.csv", "emb.decoder.csv")
+        old = {name: (tmp_path / name).read_bytes() for name in names}
+        write_bytes = Path.write_bytes
+
+        def disk_full(path, data):
+            if path.name.startswith(".emb.decoder.csv."):
+                raise OSError(28, "No space left on device")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
+        assert main(argv + ["--top-k", "3"]) == 1
+        assert {name: (tmp_path / name).read_bytes() for name in names} == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        monkeypatch.undo()
+        assert main(argv + ["--top-k", "3"]) == 0
+        assert all((tmp_path / name).read_bytes() != old[name] for name in names)
+
+
 class TestCheckpointVersion:
     def test_version_one_checkpoint_is_input_error(self, trained, tmp_path, capsys):
         _, _, checkpoint = trained
@@ -782,6 +852,23 @@ def test_input_without_two_separators_is_input_error(
         argv += ["--out", str(tmp_path / "a.csv")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["split", "train", "eval"])
+def test_malformed_record_is_named_by_its_line(trained, tmp_path, capsys, command):
+    _, _, checkpoint = trained
+    data = tmp_path / "bad.rsmi"
+    data.write_text("# reactions\n\nC=C.Br>CCBr\nC=C.Cl>>CCCl\n")
+    argv = {
+        "split": ["split", "--data", str(data), "--out", str(tmp_path / "splits")],
+        "train": ["train", "--data", str(data), "--out", str(tmp_path / "m.rxs2")],
+        "eval": ["eval", "--checkpoint", str(checkpoint), "--data", str(data)],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: line 3: expected exactly two '>' separators, found 1\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.rsmi"]
 
 
 @pytest.mark.parametrize(

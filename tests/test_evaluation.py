@@ -20,8 +20,7 @@ from rxnseq.evaluation import (
     export_attention,
     export_embeddings,
     score_prediction,
-    write_report_csv,
-    write_report_json,
+    write_report,
 )
 from rxnseq.model import (
     Model,
@@ -609,9 +608,8 @@ class TestReportFiles:
     def test_csv_round_trip(self, tmp_path):
         model, records, input_vocab, output_vocab = memorized()
         report = evaluate(model, records, input_vocab, output_vocab)
-        path = tmp_path / "report.csv"
-        write_report_csv(report, path)
-        with open(path, newline="") as handle:
+        write_report(report, tmp_path / "report")
+        with open(tmp_path / "report.csv", newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == [
             "index",
@@ -634,17 +632,15 @@ class TestReportFiles:
     def test_csv_is_deterministic(self, tmp_path):
         model, records, input_vocab, output_vocab = memorized()
         report = evaluate(model, records, input_vocab, output_vocab)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_report_csv(report, a)
-        write_report_csv(report, b)
-        assert a.read_bytes() == b.read_bytes()
+        write_report(report, tmp_path / "a")
+        write_report(report, tmp_path / "b")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_json_matches_summary_and_has_no_timestamps(self, tmp_path):
         model, records, input_vocab, output_vocab = memorized()
         report = evaluate(model, records, input_vocab, output_vocab)
-        path = tmp_path / "report.json"
-        write_report_json(report, path)
-        text = path.read_text()
+        write_report(report, tmp_path / "report")
+        text = (tmp_path / "report.json").read_text()
         assert text.endswith("\n")
         data = json.loads(text)
         assert data == report.summary()
@@ -656,6 +652,37 @@ class TestReportFiles:
             "mean_cross_entropy",
             "skipped",
         }
+
+    def test_written_text_is_pinned(self, tmp_path):
+        # bools as 0/1 and floats through .8g, by the columns' declared types:
+        # numpy scalars are written as the Python values would be
+        rows = (
+            ExampleRow(0, "C=C.Cl>>", "CCCl", "CCCl", True, True, 1.0, 0.123456789),
+            ExampleRow(
+                1, "C=C.Br>>", "CCBr", "CC(C)Br", np.True_, False, 1 / 3, np.float64(np.e)
+            ),
+        )
+        report = EvalReport(
+            n=2,
+            correct_ratio=0.5,
+            mean_tanimoto=(1 + 1 / 3) / 2,
+            invalid_ratio=0.0,
+            mean_cross_entropy=(0.123456789 + np.e) / 2,
+            skipped=0,
+            rows=rows,
+        )
+        write_report(report, tmp_path / "report")
+        assert (tmp_path / "report.csv").read_bytes() == (
+            b"index,source,reference,predicted,valid,exact,tanimoto,cross_entropy\r\n"
+            b"0,C=C.Cl>>,CCCl,CCCl,1,1,1,0.12345679\r\n"
+            b"1,C=C.Br>>,CCBr,CC(C)Br,1,0,0.33333333,2.7182818\r\n"
+        )
+        assert (tmp_path / "report.json").read_bytes() == (
+            b'{\n  "correct_ratio": 0.5,\n  "invalid_ratio": 0.0,\n'
+            b'  "mean_cross_entropy": 1.4208693087295226,\n'
+            b'  "mean_tanimoto": 0.6666666666666666,\n  "n": 2,\n  "skipped": 0\n}\n'
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json"]
 
 
 class TestExportAttention:

@@ -165,7 +165,7 @@ class TestIngestFilters:
             "parse_failures",
             "[CH3:1]1.[CH3:2]1>>CC",
             "molecule '[CH3:1]1': structurally invalid token sequence: "
-            "unpaired_ring_closure@1",
+            "unpaired_ring_closure@7",
         ),
         "ring bond across '>'": (
             "parse_failures",

@@ -53,9 +53,10 @@ def test_parse_pattern_atoms():
     assert len(p.bonds()) == 6
 
 
-# Each rejected pattern with the position it is reported at: a lexing
-# error or a rejected token (stereo bond, dot, separator) at its character
-# position, a structure failure at its token index.
+# Each rejected pattern with the character position it is reported at: a
+# lexing error or a rejected token (stereo bond, dot, separator) at its own
+# first character, a structure failure at the first character of the token
+# it is anchored to.
 PATTERN_ERRORS = [
     ("C/C", 1),
     ("C\\C", 1),
@@ -68,7 +69,9 @@ PATTERN_ERRORS = [
     ("()", 0),
     ("C(C", 2),
     ("", 0),
-    ("[C:1]=", 1),
+    ("[C:1]=", 5),
+    ("[OH1;D1:3](", 10),
+    ("[C:1]1[C:2]", 5),
     ("[Zz!]", 0),
     ("[C:1]/C", 5),
     ("C.C%1", 1),
