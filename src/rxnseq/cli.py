@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import os
@@ -189,16 +190,24 @@ def _load_model_and_vocabs(checkpoint: str):
 
 
 def _normalized_records(path: str):
-    from .pipeline import CanonicalizationError, normalize, read_reactions
+    """The file's records, normalized; a record that fails is named by its
+    line.  The whole file is read before any record is normalized."""
+    from .pipeline import CanonicalizationError, normalize, numbered_reactions
     from .smiles import SmilesError
 
     _require_file(path, "data file")
     try:
         with _reading(path):
-            records = read_reactions(path)
-        return [normalize(r) for r in records]
-    except (SmilesError, CanonicalizationError) as exc:
+            numbered = list(numbered_reactions(path))
+    except SmilesError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    records = []
+    for number, record in numbered:
+        try:
+            records.append(normalize(record))
+        except CanonicalizationError as exc:
+            raise InputError(f"{path}: line {number}: {exc}") from exc
+    return records
 
 
 def _source_of(text: str) -> str:
@@ -446,6 +455,8 @@ def _predict_one(model, input_vocab, output_vocab, source: str) -> str:
 
 
 def cmd_predict(args) -> int:
+    from .pipeline import data_lines
+
     if (args.input is None) == (args.data is None):
         raise UsageError("predict needs exactly one of --input or --data")
     model, input_vocab, output_vocab = _load_model_and_vocabs(args.checkpoint)
@@ -455,11 +466,8 @@ def cmd_predict(args) -> int:
         return 0
     _require_file(args.data, "data file")
     with _reading(args.data):
-        lines = Path(args.data).read_text(encoding="utf-8").splitlines()
-    for number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+        lines = list(data_lines(args.data))
+    for number, line in lines:
         try:
             source = _source_of(line)
             print(_predict_one(model, input_vocab, output_vocab, source))
@@ -523,7 +531,10 @@ def _add_model_flags(parser) -> None:
     parser.add_argument("--config", type=str, default=None)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built on first use and reused: parse_args returns a fresh
+    Namespace on every call, so nothing carries from one main call to the next."""
     parser = _Parser(prog="rxnseq", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -17,6 +17,7 @@ attention gives them weight 0, so buckets only shape batches.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
@@ -740,11 +741,13 @@ def predict(model: Model, encoder_ids) -> list[int]:
 # u32 tensor count | per tensor: u32 name length, name bytes, u32 rank,
 # u32 dims..., row-major little-endian float32 payload.
 # Each GRU layer is written as nine per-gate tensors (w_z, u_z, b_z, w_r, ...),
-# cut from and pasted back into the packed w/u/b blocks held in memory.
+# cut from the packed w/u/b blocks held in memory; load_checkpoint copies each
+# payload from the file's bytes straight back into its block.
 # Version 2 weights were trained with inert PADs; version 1 files are refused.
 
 CHECKPOINT_MAGIC = b"RXS2"
 CHECKPOINT_VERSION = 2
+_U32 = struct.Struct("<I")
 
 
 def _config_to_text(config: ModelConfig) -> str:
@@ -783,20 +786,19 @@ def checkpoint_bytes(model: Model) -> bytes:
     """The RXS2 file of ``model``, as save_checkpoint writes it."""
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<I", CHECKPOINT_VERSION)
+    buf += _U32.pack(CHECKPOINT_VERSION)
     config_bytes = _config_to_text(model.config).encode("utf-8")
-    buf += struct.pack("<I", len(config_bytes))
+    buf += _U32.pack(len(config_bytes))
     buf += config_bytes
     tensors = _checkpoint_tensors(model.params)
-    buf += struct.pack("<I", len(tensors))
+    buf += _U32.pack(len(tensors))
     for name, arr in tensors:
         name_bytes = name.encode("utf-8")
         data = np.ascontiguousarray(arr, dtype="<f4")
-        buf += struct.pack("<I", len(name_bytes))
+        buf += _U32.pack(len(name_bytes))
         buf += name_bytes
-        buf += struct.pack("<I", data.ndim)
-        for dim in data.shape:
-            buf += struct.pack("<I", dim)
+        buf += _U32.pack(data.ndim)
+        buf += struct.pack(f"<{data.ndim}I", *data.shape)
         buf += data.tobytes()
     return bytes(buf)
 
@@ -805,47 +807,44 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     write_atomic(path, checkpoint_bytes(model))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedFile(
-                f"needed {n} bytes at offset {self.pos}, file has {len(self.data)}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
 def load_checkpoint(path: str | Path) -> Model:
-    reader = _Reader(Path(path).read_bytes())
-    magic = reader.take(4)
+    """Read an RXS2 file in one pass over its bytes.  A file that ends early
+    raises TruncatedFile, and any other fault another CheckpointError."""
+    data = memoryview(Path(path).read_bytes())
+    pos = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if pos + n > len(data):
+            raise TruncatedFile(
+                f"needed {n} bytes at offset {pos}, file has {len(data)}"
+            )
+        pos += n
+        return data[pos - n : pos]
+
+    def u32() -> int:
+        return _U32.unpack(take(4))[0]
+
+    magic = bytes(take(4))
     if magic != CHECKPOINT_MAGIC:
         raise BadMagic(f"expected {CHECKPOINT_MAGIC!r}, found {magic!r}")
-    version = reader.u32()
+    version = u32()
     if version != CHECKPOINT_VERSION:
         raise VersionMismatch(f"unsupported checkpoint version {version}")
-    config = _config_from_bytes(reader.take(reader.u32()))
+    config = _config_from_bytes(bytes(take(u32())))
     try:
         params = zero_params(config)
     except MemoryError as exc:
         raise ConfigMismatch(f"config block implies tensors too large: {exc}") from exc
     slots = dict(_checkpoint_tensors(params))
-    for _ in range(reader.u32()):
+    for _ in range(u32()):
         try:
-            name = reader.take(reader.u32()).decode("utf-8")
+            name = str(take(u32()), "utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigMismatch(f"tensor name is not UTF-8: {exc}") from exc
-        rank = reader.u32()
-        shape = tuple(reader.u32() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        raw = reader.take(count * 4)
+        rank = u32()
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        payload = take(4 * math.prod(shape))
         slot = slots.pop(name, None)
         if slot is None:
             raise ConfigMismatch(f"tensor {name!r} is unknown or repeated")
@@ -853,8 +852,8 @@ def load_checkpoint(path: str | Path) -> Model:
             raise ConfigMismatch(
                 f"tensor {name} has shape {shape}, config implies {slot.shape}"
             )
-        slot[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
-    if reader.pos != len(reader.data):
+        slot[...] = np.frombuffer(payload, "<f4").reshape(shape)
+    if pos != len(data):
         raise ConfigMismatch("trailing bytes after final tensor")
     if slots:
         raise ConfigMismatch(f"checkpoint lacks tensors {sorted(slots)}")

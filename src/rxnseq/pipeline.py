@@ -482,20 +482,28 @@ def write_reactions(records: Iterable[ReactionRecord], path: str | Path) -> None
     write_atomic(path, reactions_bytes(records))
 
 
-def read_reactions(path: str | Path) -> list[ReactionRecord]:
-    """The records of a reaction file; blank and ``#`` lines are skipped.
-
-    A malformed record raises MalformedReaction naming its line, counted
-    from 1 over every line of the file.
-    """
-    records = []
+def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each stripped line of a data file with its line number, counted from 1
+    over every line of the file; blank and ``#`` lines are skipped."""
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                records.append(parse_record(line))
-            except smiles.MalformedReaction as exc:
-                raise smiles.MalformedReaction(f"line {number}: {exc}") from exc
-    return records
+            if line and not line.startswith("#"):
+                yield number, line
+
+
+def numbered_reactions(path: str | Path) -> Iterator[tuple[int, ReactionRecord]]:
+    """Each record of a reaction file with its line number, as data_lines
+    numbers it.  A malformed record raises MalformedReaction naming its line.
+    """
+    for number, line in data_lines(path):
+        try:
+            record = parse_record(line)
+        except smiles.MalformedReaction as exc:
+            raise smiles.MalformedReaction(f"line {number}: {exc}") from exc
+        yield number, record
+
+
+def read_reactions(path: str | Path) -> list[ReactionRecord]:
+    """The records of a reaction file, as numbered_reactions reads them."""
+    return [record for _, record in numbered_reactions(path)]

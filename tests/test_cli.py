@@ -566,6 +566,22 @@ class TestPredict:
         assert code == 0
         assert capsys.readouterr().out.splitlines() == ["CCCl", "BrCC", "CCO"]
 
+    def test_data_file_lines_are_numbered_as_eval_numbers_them(
+        self, trained, tmp_path, capsys, caplog
+    ):
+        # a form feed ends no line of a data file, whichever command reads it
+        _, _, checkpoint = trained
+        data = tmp_path / "ff.rsmi"
+        data.write_text("C=C.Cl>>CCCl\x0c\nC=C.Br>CCBr\n")
+        model = ["--checkpoint", str(checkpoint), "--data", str(data)]
+        caplog.set_level(logging.WARNING, logger="rxnseq")
+        assert main(["predict", *model]) == 0
+        assert capsys.readouterr().out == "CCCl\n\n"
+        fault = "expected exactly two '>' separators, found 1"
+        assert caplog.messages == [f"line 2 skipped: {fault}"]
+        assert main(["eval", *model]) == 1
+        assert capsys.readouterr().err == f"error: {data}: line 2: {fault}\n"
+
     def test_requires_exactly_one_input_source(self, trained, capsys):
         _, data, checkpoint = trained
         assert main(["predict", "--checkpoint", str(checkpoint)]) == 1
@@ -871,6 +887,26 @@ def test_malformed_record_is_named_by_its_line(trained, tmp_path, capsys, comman
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.rsmi"]
 
 
+@pytest.mark.parametrize("command", ["split", "train", "eval"])
+def test_record_that_cannot_canonicalize_is_named_by_its_line(
+    trained, tmp_path, capsys, command
+):
+    _, _, checkpoint = trained
+    data = tmp_path / "nf.rsmi"
+    data.write_text("# reactions\n\nC=C.Cl>>CCCl\nC1CC>>C\n")
+    argv = {
+        "split": ["split", "--data", str(data), "--out", str(tmp_path / "splits")],
+        "train": ["train", "--data", str(data), "--out", str(tmp_path / "m.rxs2")],
+        "eval": ["eval", "--checkpoint", str(checkpoint), "--data", str(data)],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: line 4: cannot canonicalize 'C1CC': "
+        "structurally invalid token sequence: unpaired_ring_closure@1\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nf.rsmi"]
+
+
 @pytest.mark.parametrize(
     "out, message, named",
     [
@@ -1030,3 +1066,42 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_calls_in_one_process_print_what_each_prints_on_its_own(trained, capsys):
+    # main builds its parser once per process; no call may see another's state.
+    _, data, checkpoint = trained
+    model = ["--checkpoint", str(checkpoint)]
+    calls = [
+        ["predict", *model, "--input", "C=C.Br>>"],
+        ["predict", *model],
+        ["predict", *model, "--data", str(data)],
+        ["eval", *model, "--data", str(data)],
+        ["predict", *model, "--input", "C=C.Br>>"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    alone = [
+        subprocess.run(
+            [sys.executable, "-m", "rxnseq.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        for argv in calls
+    ]
+    together = []
+    for argv in calls:
+        code = main(argv)
+        together.append((code, capsys.readouterr()))
+    for argv, result, (code, captured) in zip(calls, alone, together):
+        assert code == result.returncode, argv
+        assert captured.out == result.stdout, argv
+    # the log lines go to pytest's handler here, so compare stderr of the
+    # usage error, which is printed
+    assert together[1][0] == 1
+    assert together[1][1].err == alone[1].stderr
+    assert "exactly one of --input or --data" in alone[1].stderr
+    assert together[0][1].out == together[4][1].out == "BrCC\n"
+    assert together[2][1].out.splitlines() == ["CCCl", "BrCC", "CCO"]

@@ -11,6 +11,7 @@ from rxnseq import model as m
 from rxnseq.model import (
     AttentionRecord,
     BadMagic,
+    CheckpointError,
     ConfigMismatch,
     DimensionMismatch,
     Model,
@@ -523,6 +524,11 @@ class TestTraining:
         assert a == b
 
 
+# One layer a side and two units, so every byte of its 1378-byte file can be
+# cut or changed in about a second.
+SMALLEST = tiny_config(num_layers=1, embedding_dim=2, hidden_dim=2)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         built = init_model(tiny_config(seed=23))
@@ -583,13 +589,30 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
-        built = init_model(tiny_config())
+        # every proper prefix, so a cut inside any field is covered
         path = tmp_path / "model.rxs2"
-        save_checkpoint(built, path)
+        save_checkpoint(init_model(SMALLEST), path)
         data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(TruncatedFile):
-            load_checkpoint(path)
+        for end in range(len(data)):
+            path.write_bytes(data[:end])
+            with pytest.raises(TruncatedFile):
+                load_checkpoint(path)
+
+    def test_one_byte_corruptions_fail_as_checkpoint_errors(self, tmp_path):
+        # A changed byte may load (a payload byte) or fail, but only ever as
+        # a CheckpointError.
+        path = tmp_path / "model.rxs2"
+        save_checkpoint(init_model(SMALLEST), path)
+        data = path.read_bytes()
+        rng = np.random.default_rng(0)
+        for where in range(len(data)):
+            corrupt = bytearray(data)
+            corrupt[where] ^= int(rng.integers(1, 256))
+            path.write_bytes(bytes(corrupt))
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
 
     def test_trailing_garbage_rejected(self, tmp_path):
         built = init_model(tiny_config())
