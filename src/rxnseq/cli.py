@@ -101,20 +101,19 @@ def _reading(path):
 
 
 def _read_config_file(path: str) -> dict:
+    from .pipeline import data_lines
+
     values = {}
     try:
         with _reading(path):
-            text = Path(path).read_text(encoding="utf-8")
+            lines = list(data_lines(path))
     except OSError as exc:
         raise InputError(f"cannot read config file: {exc}") from exc
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in lines:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key:
-            raise InputError(f"{path}:{number}: expected key=value, got {raw!r}")
+            raise InputError(f"{path}:{number}: expected key=value, got {line!r}")
         if key not in _SETTINGS:
             raise InputError(f"{path}:{number}: unknown key {key!r}")
         try:
@@ -159,26 +158,44 @@ def _require_writable(*paths) -> None:
             raise InputError(f"output not writable: {path}")
 
 
+# The last successful load: the bytes of a checkpoint and its two sidecars,
+# and the (model, input vocab, output vocab) parsed from exactly those bytes.
+_last_load: tuple = ()
+
+
 def _load_model_and_vocabs(checkpoint: str):
-    from .model import CheckpointError, load_checkpoint
+    """The model and both vocabularies of ``checkpoint``, every check passed.
+
+    The three files are read as bytes once per call.  When they equal the
+    bytes of the last successful load, that load's objects are returned;
+    otherwise these bytes are parsed, and kept for the next call only if every
+    check passes.  The model is shared with later calls, so its arrays are
+    read-only.
+    """
+    global _last_load
+    from .model import CheckpointError, checkpoint_from_bytes
     from .pipeline import Vocab, VocabError
 
     _require_file(checkpoint, "checkpoint")
     input_path, output_path = _vocab_paths(checkpoint)
     _require_file(str(input_path), "input vocabulary")
     _require_file(str(output_path), "output vocabulary")
+    raw = tuple(Path(p).read_bytes() for p in (checkpoint, input_path, output_path))
+    last = _last_load
+    if last and last[0] == raw:
+        return last[1]
     try:
-        model = load_checkpoint(checkpoint)
+        model = checkpoint_from_bytes(raw[0])
     except CheckpointError as exc:
         raise InputError(f"cannot load checkpoint: {exc}") from exc
     vocabs = []
-    for path, size in (
-        (input_path, model.config.input_vocab_size),
-        (output_path, model.config.output_vocab_size),
+    for path, data, size in (
+        (input_path, raw[1], model.config.input_vocab_size),
+        (output_path, raw[2], model.config.output_vocab_size),
     ):
         try:
             with _reading(path):
-                vocab = Vocab.load(path)
+                vocab = Vocab.from_sidecar_bytes(data)
         except VocabError as exc:
             raise InputError(f"{path}: {exc}") from exc
         if len(vocab) != size:
@@ -186,7 +203,10 @@ def _load_model_and_vocabs(checkpoint: str):
                 f"{path} has {len(vocab)} tokens, the checkpoint expects {size}"
             )
         vocabs.append(vocab)
-    return model, *vocabs
+    for _, arr in model.params.named():
+        arr.flags.writeable = False
+    _last_load = (raw, (model, *vocabs))
+    return _last_load[1]
 
 
 def _normalized_records(path: str):

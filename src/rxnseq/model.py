@@ -280,7 +280,8 @@ def _stack_backward(layers, grads, caches, dh_carry, dabove, pad=None):
     dh_carry holds each layer's gradient flowing back from the next step and
     is replaced in place by the gradient for the previous step; returns the
     gradient with respect to the bottom layer's input.  Rows set in pad
-    (batch, 1) kept their state: their gradient bypasses the cell.
+    (batch, 1) kept their state: their gradient bypasses the cell.  None
+    means no row holds a PAD at this step.
     """
     for l in reversed(range(len(layers))):
         dh = dh_carry[l] + dabove
@@ -299,14 +300,16 @@ def _check_ids(ids: np.ndarray, vocab_size: int, side: str) -> None:
 def _encode_forward(model: Model, enc_ids: np.ndarray, caches: list | None = None):
     """Run the encoder stack; returns (top-layer states, final hidden per
     layer, PAD mask).  A row keeps its state across its own PAD steps, so
-    leading columns that are PAD in every row stay zero and are skipped.  When
-    caches is a list (training), each layer's BPTT caches are appended to it.
+    leading columns that are PAD in every row stay zero and are skipped, and
+    only a column holding some PAD selects per row.  When caches is a list
+    (training), each layer's BPTT caches are appended to it.
     """
     params, config = model.params, model.config
     batch, length = enc_ids.shape
     _check_ids(enc_ids, config.input_vocab_size, "encoder")
     pad = enc_ids == PAD_ID
     start = int(np.cumprod(pad.all(axis=0)).sum())
+    padded = pad.any(axis=0).tolist()
     dtype = params.dtype
     layer_in = params.enc_embed[enc_ids]
     finals = []
@@ -316,7 +319,9 @@ def _encode_forward(model: Model, enc_ids: np.ndarray, caches: list | None = Non
         layer_caches = []
         for t in range(start, length):
             h_new, cache = _gru_forward(layer, layer_in[:, t], h)
-            outs[:, t] = h = np.where(pad[:, t, None], h, h_new)
+            if padded[t]:
+                h_new = np.where(pad[:, t, None], h, h_new)
+            outs[:, t] = h = h_new
             if caches is not None:
                 layer_caches.append(cache)
         if caches is not None:
@@ -568,6 +573,7 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
 
     length = memory.shape[1]
     start = length - len(enc_caches[0])  # leading all-PAD columns were skipped
+    padded = pad.any(axis=0).tolist()
     dx_embed = np.zeros(
         (enc.shape[0], length, config.embedding_dim), dtype=params.dtype
     )
@@ -578,7 +584,7 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
             [layer_caches[t - start] for layer_caches in enc_caches],
             dh_carry,
             dmem[:, t],
-            pad[:, t, None],
+            pad[:, t, None] if padded[t] else None,
         )
     np.add.at(grad.enc_embed, enc, dx_embed)
     return loss, grad
@@ -741,8 +747,8 @@ def predict(model: Model, encoder_ids) -> list[int]:
 # u32 tensor count | per tensor: u32 name length, name bytes, u32 rank,
 # u32 dims..., row-major little-endian float32 payload.
 # Each GRU layer is written as nine per-gate tensors (w_z, u_z, b_z, w_r, ...),
-# cut from the packed w/u/b blocks held in memory; load_checkpoint copies each
-# payload from the file's bytes straight back into its block.
+# cut from the packed w/u/b blocks held in memory; checkpoint_from_bytes copies
+# each payload from the file's bytes straight back into its block.
 # Version 2 weights were trained with inert PADs; version 1 files are refused.
 
 CHECKPOINT_MAGIC = b"RXS2"
@@ -808,9 +814,16 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Model:
-    """Read an RXS2 file in one pass over its bytes.  A file that ends early
-    raises TruncatedFile, and any other fault another CheckpointError."""
-    data = memoryview(Path(path).read_bytes())
+    """The model in the RXS2 file at ``path``, as checkpoint_from_bytes reads
+    the file's bytes."""
+    return checkpoint_from_bytes(Path(path).read_bytes())
+
+
+def checkpoint_from_bytes(raw: bytes) -> Model:
+    """The model that checkpoint_bytes wrote as ``raw``, read in one pass.  A
+    file that ends early raises TruncatedFile, and any other fault another
+    CheckpointError."""
+    data = memoryview(raw)
     pos = 0
 
     def take(n: int) -> memoryview:

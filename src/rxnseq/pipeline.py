@@ -253,15 +253,8 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Vocab) and self._tokens == other._tokens
-
-    def tokens(self) -> list[str]:
-        """All token texts in id order, specials included."""
-        return list(self._tokens)
 
     def sidecar_bytes(self) -> bytes:
         """The sidecar file, as save writes it."""
@@ -275,8 +268,15 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls(text.splitlines())
+        """The vocabulary in the sidecar file at ``path``, as from_sidecar_bytes
+        reads the file's bytes."""
+        return cls.from_sidecar_bytes(Path(path).read_bytes())
+
+    @classmethod
+    def from_sidecar_bytes(cls, raw: bytes) -> "Vocab":
+        """The vocabulary that sidecar_bytes wrote as ``raw``.  Bytes that are
+        not UTF-8 raise UnicodeDecodeError, and a bad token VocabError."""
+        return cls(raw.decode("utf-8").splitlines())
 
 
 def build_vocabs(records: Sequence[ReactionRecord]) -> tuple[Vocab, Vocab]:

@@ -497,6 +497,17 @@ class TestTrain:
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_config_lines_are_numbered_as_data_lines_number_them(self, tmp_path, capsys):
+        # A form feed ends no line, so 'bogus' is on the file's second line.
+        data = tmp_path / "data.rsmi"
+        data.write_text("C=C.Cl>>CCCl\n")
+        config = tmp_path / "c.cfg"
+        config.write_bytes(b"seed=1\x0c\nbogus\n")
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.rxs2")]
+        assert main(argv + ["--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {config}:2: expected key=value, got 'bogus'" in err
+
     def test_unset_model_settings_take_the_model_config_defaults(self, tmp_path):
         from rxnseq.model import ModelConfig, load_checkpoint
 
@@ -1068,8 +1079,22 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert result.returncode == 0, result.stderr
 
 
+def run_alone(argv):
+    """``argv`` run by the command line tool in a fresh process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rxnseq.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def test_calls_in_one_process_print_what_each_prints_on_its_own(trained, capsys):
-    # main builds its parser once per process; no call may see another's state.
+    # main builds its parser once per process and reuses an unchanged model;
+    # no call may see another's state.
     _, data, checkpoint = trained
     model = ["--checkpoint", str(checkpoint)]
     calls = [
@@ -1079,18 +1104,7 @@ def test_calls_in_one_process_print_what_each_prints_on_its_own(trained, capsys)
         ["eval", *model, "--data", str(data)],
         ["predict", *model, "--input", "C=C.Br>>"],
     ]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    alone = [
-        subprocess.run(
-            [sys.executable, "-m", "rxnseq.cli", *argv],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        for argv in calls
-    ]
+    alone = [run_alone(argv) for argv in calls]
     together = []
     for argv in calls:
         code = main(argv)
@@ -1105,3 +1119,84 @@ def test_calls_in_one_process_print_what_each_prints_on_its_own(trained, capsys)
     assert "exactly one of --input or --data" in alone[1].stderr
     assert together[0][1].out == together[4][1].out == "BrCC\n"
     assert together[2][1].out.splitlines() == ["CCCl", "BrCC", "CCO"]
+
+
+def test_a_checkpoint_rewritten_in_place_is_read_again(trained, tmp_path, capsys):
+    # Two checkpoints of one size; the second overwrites the first and its
+    # modification time is put back, so only the bytes tell them apart.
+    _, data, _ = trained
+    first, second = tmp_path / "a" / "model.rxs2", tmp_path / "b" / "model.rxs2"
+    for seed, out in (("1", first), ("2", second)):
+        out.parent.mkdir()
+        argv = ["train", "--data", str(data), "--out", str(out)]
+        assert main(argv + TRAIN_FLAGS + ["--seed", seed, "--steps", "20"]) == 0
+    assert first.stat().st_size == second.stat().st_size
+    model = ["--checkpoint", str(first)]
+    # eval prints the mean cross-entropy, which tells the two models apart
+    calls = [["predict", *model, "--input", "C=C.Br>>"], ["eval", *model, "--data", str(data)]]
+
+    def outputs():
+        alone = [run_alone(argv) for argv in calls]
+        assert all(result.returncode == 0 for result in alone)
+        for argv, result in zip(calls, alone):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == result.stdout, argv
+        return [result.stdout for result in alone]
+
+    before = outputs()
+    stat = first.stat()
+    first.write_bytes(second.read_bytes())
+    os.utime(first, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert first.stat().st_mtime_ns == stat.st_mtime_ns
+    assert outputs()[1] != before[1]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda lines: lines[:2], lambda lines: lines[:1] + lines],
+    ids=["wrong size", "duplicated token"],
+)
+def test_a_sidecar_corrupted_between_calls_is_input_error(
+    trained, tmp_path, capsys, corrupt
+):
+    _, _, checkpoint = trained
+    copy = copy_checkpoint(checkpoint, tmp_path)
+    argv = ["predict", "--checkpoint", str(copy), "--input", "C=C.Cl>>"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "CCCl\n"
+    sidecar = Path(f"{copy}.output-vocab")
+    sidecar.write_text("".join(corrupt(sidecar.read_text().splitlines(keepends=True))))
+    failed = run_alone(argv)
+    assert failed.returncode == 1 and failed.stderr.startswith(f"error: {sidecar}")
+    for _ in range(2):  # a load that fails its last check is not kept either
+        assert main(argv) == 1
+        assert capsys.readouterr().err == failed.stderr
+
+
+def test_a_failed_load_is_not_served_later(trained, tmp_path, capsys):
+    _, _, checkpoint = trained
+    copy = copy_checkpoint(checkpoint, tmp_path)
+    argv = ["predict", "--checkpoint", str(copy), "--input", "C=C.Cl>>"]
+    good = copy.read_bytes()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "CCCl\n"
+    copy.write_bytes(good.replace(b"buckets=12:8", b"buckets=12;8"))
+    failed = run_alone(argv)
+    assert failed.returncode == 1 and "bad config block" in failed.stderr
+    for _ in range(2):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == failed.stderr
+    copy.write_bytes(good)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == run_alone(argv).stdout == "CCCl\n"
+
+
+def test_a_reused_model_is_read_only(trained):
+    from rxnseq.cli import _load_model_and_vocabs
+
+    _, _, checkpoint = trained
+    model, _, _ = _load_model_and_vocabs(str(checkpoint))
+    again, _, _ = _load_model_and_vocabs(str(checkpoint))
+    assert again is model
+    with pytest.raises(ValueError):
+        again.params.enc_embed[0, 0] = 0.0

@@ -322,17 +322,17 @@ class TestVocab:
 
     def test_frequency_then_lexicographic_order(self):
         v = Vocab.from_counts(Counter({"C": 5, "O": 2, "=": 2, "(": 1}))
-        assert v.tokens()[4:] == ["C", "=", "O", "("]
+        assert [v.token_of(i) for i in range(4, len(v))] == ["C", "=", "O", "("]
 
     def test_single_reaction_vocab_sizes(self):
         records = [normalize(record_of("CCO>>CC=O"))]
         input_vocab, output_vocab = build_vocabs(records)
         # Input side covers "CCO>>": tokens C, O, '>' plus the four specials.
         assert len(input_vocab) == 7
-        assert ">" in input_vocab
+        assert input_vocab.id_of(">") != UNK_ID
         # Output side covers "CC=O": tokens C, =, O plus the four specials.
         assert len(output_vocab) == 7
-        assert ">" not in output_vocab
+        assert output_vocab.id_of(">") == UNK_ID
 
     def test_empty_corpus_vocab_is_specials_only(self):
         input_vocab, output_vocab = build_vocabs([])
@@ -341,7 +341,7 @@ class TestVocab:
 
     def test_dot_counted_in_input_vocab(self):
         input_vocab, _ = build_vocabs([record_of("C.C>>CC")])
-        assert "." in input_vocab
+        assert input_vocab.id_of(".") != UNK_ID
 
     def test_save_load_round_trip(self, tmp_path):
         v = Vocab.from_counts(Counter({"C": 3, "Cl": 1, ">": 2, "(": 1, ")": 1}))
