@@ -459,41 +459,41 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predict_one(model, input_vocab, output_vocab, source: str) -> str:
-    import numpy as np
-
-    from .model import predict
+def _encoded_source(text: str, input_vocab, buckets):
+    """The bucket-padded encoder row of a reaction string's model input."""
     from .pipeline import encode_source
     from .smiles import SmilesError
 
     try:
-        encoder_ids = encode_source(source, input_vocab, model.config.buckets)
+        return encode_source(_source_of(text), input_vocab, buckets)
     except SmilesError as exc:
         raise InputError(str(exc)) from exc
-    ids = predict(model, np.array(encoder_ids))
-    return "".join(output_vocab.token_of(i) for i in ids)
 
 
 def cmd_predict(args) -> int:
+    from .model import predict_with_attention
     from .pipeline import data_lines
 
     if (args.input is None) == (args.data is None):
         raise UsageError("predict needs exactly one of --input or --data")
     model, input_vocab, output_vocab = _load_model_and_vocabs(args.checkpoint)
+    buckets = model.config.buckets
     if args.input is not None:
-        source = _source_of(args.input)
-        print(_predict_one(model, input_vocab, output_vocab, source))
-        return 0
-    _require_file(args.data, "data file")
-    with _reading(args.data):
-        lines = list(data_lines(args.data))
-    for number, line in lines:
-        try:
-            source = _source_of(line)
-            print(_predict_one(model, input_vocab, output_vocab, source))
-        except InputError as exc:
-            logger.warning("line %d skipped: %s", number, exc)
-            print()
+        rows = [_encoded_source(args.input, input_vocab, buckets)]
+    else:
+        _require_file(args.data, "data file")
+        with _reading(args.data):
+            lines = list(data_lines(args.data))
+        rows = []  # None for a line that is skipped
+        for number, line in lines:
+            try:
+                rows.append(_encoded_source(line, input_vocab, buckets))
+            except InputError as exc:
+                logger.warning("line %d skipped: %s", number, exc)
+                rows.append(None)
+    decoded = predict_with_attention(model, [row for row in rows if row is not None])
+    for row in rows:
+        print("" if row is None else next(decoded).text(output_vocab))
     return 0
 
 

@@ -19,13 +19,12 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 # batch_loss stays importable here: perfbench's traced run wraps it, and it
 # is the per-record reference for the cross-entropies evaluate reports.  The
-# traced run also wraps parse_string, canonical_from_string and
-# morgan_fingerprint at these names, so scoring calls them through this module.
-from .model import Model, batch_loss, evaluate_batch, predict_with_attention  # noqa: F401
+# traced run also wraps predict_with_attention, parse_string,
+# canonical_from_string and morgan_fingerprint at these names, so evaluate,
+# export_attention and scoring call them through this module.
+from .model import Model, batch_loss, predict_with_attention  # noqa: F401
 from .molgraph import (
     _CANON_CACHE_SIZE,
     Fingerprint,
@@ -36,7 +35,6 @@ from .molgraph import (
     tanimoto,
 )
 from .pipeline import (
-    EncodedExample,
     ReactionRecord,
     Vocab,
     encode_example,
@@ -47,10 +45,6 @@ from .pipeline import (
     write_atomic,
 )
 from .smiles import SmilesError
-
-
-# Rows per batch in evaluate; each batch is one encoder pass.
-EVAL_BATCH_SIZE = 32
 
 
 class EvaluationError(Exception):
@@ -148,58 +142,49 @@ def evaluate(
 
     Records are encoded one by one with their references, which the
     cross-entropy needs, and every record is scored: one longer than every
-    bucket is padded to its own lengths.  Records are grouped by padded
-    shape, which only sets the batch shape because the model ignores PADs,
-    and decoded in batches of EVAL_BATCH_SIZE, one encoder pass per batch
-    serving both the greedy decode and the teacher-forced cross-entropy.
-    Every record decodes up to the largest decoder length less one, as in
-    predict, so a longer reference scores as a miss.  Predictions match
-    predict (and so `rxnseq predict`) on each record, cross-entropies match
-    batch_loss on each record alone to float32 roundoff, and rows come back
-    in record order.  Each row is scored by score_prediction, whose memos
-    canonicalize and fingerprint each distinct reference or prediction string
-    at most once, however often it repeats across rows or calls.  A record
-    whose reference is invalid raises ReferenceInvalid naming the record.
+    bucket is padded to its own lengths.  predict_with_attention, the decoder
+    `rxnseq predict` uses too, hands them back in record order, with one
+    encoder pass per batch of a padded shape serving both the greedy decode
+    and the teacher-forced cross-entropy; a row keeps only the predicted
+    string and the cross-entropy.  So predictions match `rxnseq predict` on
+    each record, a reference longer than the decode limit scores as a miss,
+    and cross-entropies match batch_loss on each record alone to float32
+    roundoff.  score_prediction's memos canonicalize and fingerprint each
+    distinct reference or prediction string at most once, however often it
+    repeats across rows or calls.  A record whose reference is invalid raises
+    ReferenceInvalid naming the record.
     """
     if not records:
         raise EmptyTestset("no evaluation records")
-    by_shape: dict[tuple[int, int], list[tuple[int, EncodedExample]]] = {}
-    for index, record in enumerate(records):
-        example = encode_example(record, input_vocab, output_vocab, model.config.buckets)
-        shape = (len(example.encoder_ids), len(example.decoder_ids))
-        by_shape.setdefault(shape, []).append((index, example))
+    examples = [
+        encode_example(record, input_vocab, output_vocab, model.config.buckets)
+        for record in records
+    ]
+    decoded = predict_with_attention(
+        model,
+        [example.encoder_ids for example in examples],
+        [example.decoder_ids for example in examples],
+    )
     rows: list[ExampleRow] = []
-    for members in by_shape.values():
-        for start in range(0, len(members), EVAL_BATCH_SIZE):
-            chunk = members[start : start + EVAL_BATCH_SIZE]
-            predictions, cross_entropies = evaluate_batch(
-                model,
-                np.array([example.encoder_ids for _, example in chunk]),
-                np.array([example.decoder_ids for _, example in chunk]),
+    for index, (record, result) in enumerate(zip(records, decoded)):
+        predicted = result.text(output_vocab)
+        reference = target_string(record)
+        try:
+            score = score_prediction(predicted, reference)
+        except ReferenceInvalid as exc:
+            raise ReferenceInvalid(f"record {record.smiles()!r}: {exc}") from exc
+        rows.append(
+            ExampleRow(
+                index=index,
+                source=source_string(record),
+                reference=reference,
+                predicted=predicted,
+                valid=score.valid,
+                exact=score.exact,
+                tanimoto=score.tanimoto,
+                cross_entropy=result.cross_entropy,
             )
-            for (index, _), ids, cross_entropy in zip(
-                chunk, predictions, cross_entropies
-            ):
-                record = records[index]
-                predicted = "".join(output_vocab.token_of(i) for i in ids)
-                reference = target_string(record)
-                try:
-                    score = score_prediction(predicted, reference)
-                except ReferenceInvalid as exc:
-                    raise ReferenceInvalid(f"record {record.smiles()!r}: {exc}") from exc
-                rows.append(
-                    ExampleRow(
-                        index=index,
-                        source=source_string(record),
-                        reference=reference,
-                        predicted=predicted,
-                        valid=score.valid,
-                        exact=score.exact,
-                        tanimoto=score.tanimoto,
-                        cross_entropy=float(cross_entropy),
-                    )
-                )
-    rows.sort(key=lambda row: row.index)
+        )
     n = len(rows)
     return EvalReport(
         n=n,
@@ -254,7 +239,7 @@ def export_attention(
     prefix included), so each score/weight column names its position.
     """
     encoder_ids = encode_source(source, input_vocab, model.config.buckets)
-    _, records = predict_with_attention(model, np.array(encoder_ids))
+    (decoded,) = predict_with_attention(model, [encoder_ids])
     encoder_tokens = [input_vocab.token_of(i) for i in encoder_ids]
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
@@ -263,12 +248,11 @@ def export_attention(
         + [f"score:{t}" for t in encoder_tokens]
         + [f"weight:{t}" for t in encoder_tokens]
     )
-    for record in records:
-        token = output_vocab.token_of(record.token_id)
+    for token_id, scores, weights in zip(decoded.ids, decoded.scores, decoded.weights):
         writer.writerow(
-            [token]
-            + [_fmt(v) for v in record.scores]
-            + [_fmt(v) for v in record.weights]
+            [output_vocab.token_of(token_id)]
+            + [_fmt(v) for v in scores]
+            + [_fmt(v) for v in weights]
         )
     write_atomic(path, buffer.getvalue().encode("utf-8"))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -349,15 +349,10 @@ def encode(model: Model, encoder_ids) -> tuple[np.ndarray, list[np.ndarray]]:
 
 @dataclass(frozen=True)
 class AttentionRecord:
-    """Alignment trace for one decoding step: raw scores and softmax weights.
-
-    During greedy decoding token_id carries the id emitted at this step;
-    standalone attention calls leave it at -1.
-    """
+    """Alignment trace for one attention call: raw scores and softmax weights."""
 
     scores: np.ndarray
     weights: np.ndarray
-    token_id: int = -1
 
 
 def _attention_forward(params: ModelParams, query, memory, ma, pad=None):
@@ -479,6 +474,7 @@ def _teacher_forced(params: ModelParams, memory, ma, pad, stack, dec_ids, step_c
         )
         if step_caches is not None:
             step_caches.append(step_cache)
+        del step_cache  # unless kept above, not held while the next step runs
 
     shifted = logits - logits.max(axis=2, keepdims=True)
     exp = np.exp(shifted)
@@ -668,78 +664,120 @@ def fit(
 
 def _greedy(model: Model, memory, ma, pad, stack):
     """Greedy decoding from GO for a batch, until every row has emitted EOS or
-    the limit has run: the largest decoder length less GO's slot.
+    the limit has run: the largest decoder length less GO's slot, which may be
+    0 steps.
 
-    Returns one entry per step: the ids emitted (batch,), the raw attention
-    scores and the attention weights (batch, length).  Rows that have already
-    emitted EOS keep stepping; callers read each row up to its first EOS.
+    Returns the ids emitted (batch, steps), and the raw attention scores and
+    the attention weights (batch, steps, length), for the steps run.  Rows
+    that have already emitted EOS keep stepping; callers read each row up to
+    its first EOS.
     """
+    batch, length = pad.shape
     limit = model.config.buckets[-1][1] - 1
-    prev = np.full(memory.shape[0], GO_ID, dtype=np.int64)
-    done = np.zeros(memory.shape[0], dtype=bool)
-    emitted, scores, weights = [], [], []
-    for _ in range(limit):
-        logits, stack, e, w, _ = _decoder_step(model.params, prev, stack, memory, ma, pad)
-        prev = logits.argmax(axis=1)
-        emitted.append(prev)
-        scores.append(e)
-        weights.append(w)
+    emitted = np.empty((batch, limit), dtype=np.int64)
+    scores = np.empty((batch, limit, length), dtype=model.params.dtype)
+    weights = np.empty_like(scores)
+    prev = np.full(batch, GO_ID, dtype=np.int64)
+    done = np.zeros(batch, dtype=bool)
+    steps = 0
+    while steps < limit and not done.all():
+        # [:4] lets the step's backward caches go before the next step runs
+        logits, stack, scores[:, steps], weights[:, steps] = _decoder_step(
+            model.params, prev, stack, memory, ma, pad
+        )[:4]
+        prev = emitted[:, steps] = logits.argmax(axis=1)
         done |= prev == EOS_ID
-        if done.all():
-            break
-    return emitted, scores, weights
+        steps += 1
+    return emitted[:, :steps], scores[:, :steps], weights[:, :steps]
 
 
-def _output_ids(tokens) -> list[int]:
-    """A row's emitted ids up to its first EOS, PAD and GO dropped."""
-    out: list[int] = []
-    for token in tokens:
-        if token == EOS_ID:
-            break
-        if token not in (PAD_ID, GO_ID):
-            out.append(int(token))
+# Rows per batch in predict_with_attention; each batch is one encoder pass.
+DECODE_BATCH_SIZE = 32
+
+
+@dataclass(frozen=True)
+class Decoded:
+    """One row's greedy decode.
+
+    ids holds the id emitted at each step, through the row's first EOS (every
+    step when the limit ran out first); scores and weights (steps, length)
+    hold those steps' attention.  cross_entropy is the row's teacher-forced
+    mean over its reference tokens, or None when no reference was given.
+    """
+
+    ids: list[int]
+    scores: np.ndarray
+    weights: np.ndarray
+    cross_entropy: float | None
+
+    def text(self, output_vocab) -> str:
+        """The predicted string: the emitted tokens, PAD, GO and EOS dropped."""
+        return "".join(
+            output_vocab.token_of(i) for i in self.ids if i not in (PAD_ID, GO_ID, EOS_ID)
+        )
+
+
+def _decode_batch(model: Model, enc: np.ndarray, dec: np.ndarray | None) -> list[Decoded]:
+    """Each row of one batch decoded, from one encoder pass.  The
+    teacher-forced pass runs before the greedy one, so that the two never
+    hold their arrays at the same time."""
+    memory, stack, ma, pad = _encoder_pass(model, enc)
+    losses = [None] * len(enc)
+    if dec is not None:
+        losses = _teacher_forced(model.params, memory, ma, pad, stack, dec)[1].tolist()
+    emitted, scores, weights = _greedy(model, memory, ma, pad, stack)
+    out = []
+    for row, loss in enumerate(losses):
+        eos = np.flatnonzero(emitted[row] == EOS_ID)
+        n = int(eos[0]) + 1 if eos.size else emitted.shape[1]
+        out.append(
+            Decoded(
+                emitted[row, :n].tolist(),
+                scores[row, :n].copy(),
+                weights[row, :n].copy(),
+                loss,
+            )
+        )
     return out
 
 
 def predict_with_attention(
-    model: Model, encoder_ids
-) -> tuple[list[int], list[AttentionRecord]]:
-    """Greedy decode from GO; returns emitted ids (specials excluded) and the
-    per-step attention trace (the EOS step keeps its trace)."""
-    ids = np.asarray(encoder_ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise DimensionMismatch("predict expects a single encoded sequence")
-    memory, stack, ma, pad = _encoder_pass(model, ids[None, :])
-    emitted, scores, weights = _greedy(model, memory, ma, pad, stack)
-    tokens = [int(step[0]) for step in emitted]
-    records = [
-        AttentionRecord(scores=e[0], weights=w[0], token_id=token)
-        for token, e, w in zip(tokens, scores, weights)
-    ]
-    return _output_ids(tokens), records
+    model: Model, encoder_ids, decoder_ids=None
+) -> Iterator[Decoded]:
+    """Greedy-decode bucket-padded encoder rows; yields one Decoded per row,
+    in input order.  This is the one decoder: eval, predict and
+    export-attention all call it.
 
-
-def evaluate_batch(
-    model: Model, enc_ids, dec_ids
-) -> tuple[list[list[int]], np.ndarray]:
-    """Greedy predictions and per-row teacher-forced cross-entropies for a
-    batch, from one encoder pass.
-
-    Each prediction is what predict gives for that row; each cross-entropy is
-    batch_loss on that row alone, to float32 roundoff.
+    Rows are grouped by padded shape, with their reference rows when
+    decoder_ids is given, and each group is decoded in batches of
+    DECODE_BATCH_SIZE consecutive members.  One encoder pass per batch serves
+    the greedy decode and the teacher-forced cross-entropies.  PADs are
+    inert, so a row's ids equal those it gets decoded alone, and its
+    cross-entropy batch_loss on that row alone, to float32 roundoff.  A
+    batch is decoded when its first row is due, so only rows decoded ahead
+    of their turn are held.
     """
-    enc = np.asarray(enc_ids, dtype=np.int64)
-    dec = np.asarray(dec_ids, dtype=np.int64)
-    memory, stack, ma, pad = _encoder_pass(model, enc)
-    emitted, _, _ = _greedy(model, memory, ma, pad, stack)
-    _, row_losses, _ = _teacher_forced(model.params, memory, ma, pad, stack, dec)
-    tokens = np.array(emitted, dtype=np.int64).reshape(len(emitted), len(enc)).T
-    return [_output_ids(row) for row in tokens], row_losses
-
-
-def predict(model: Model, encoder_ids) -> list[int]:
-    out, _ = predict_with_attention(model, encoder_ids)
-    return out
+    enc_rows = list(encoder_ids)
+    dec_rows = None if decoder_ids is None else list(decoder_ids)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for index, row in enumerate(enc_rows):
+        shape = (len(row), 0 if dec_rows is None else len(dec_rows[index]))
+        groups.setdefault(shape, []).append(index)
+    batch_of = {}
+    for members in groups.values():
+        for start in range(0, len(members), DECODE_BATCH_SIZE):
+            batch = members[start : start + DECODE_BATCH_SIZE]
+            batch_of.update((index, batch) for index in batch)
+    ready: dict[int, Decoded] = {}
+    for index in range(len(enc_rows)):
+        if index not in ready:
+            batch = batch_of[index]
+            enc = np.array([enc_rows[i] for i in batch], dtype=np.int64)
+            dec = None
+            if dec_rows is not None:
+                dec = np.array([dec_rows[i] for i in batch], dtype=np.int64)
+            ready.update(zip(batch, _decode_batch(model, enc, dec)))
+        yield ready.pop(index)
 
 
 # --- checkpoint format -------------------------------------------------------

@@ -35,7 +35,7 @@ from .smiles import (
     TokenKind,
     TokenSequence,
     ValidationFailure,
-    _structure,
+    _assemble,
     bare_hydrogen_fill,
     format_bracket,
     tokenize,
@@ -142,9 +142,6 @@ class MolGraph:
         self.atoms: list[Atom] = []
         self._adj: list[dict[int, BondOrder]] = []
 
-    def __len__(self) -> int:
-        return len(self.atoms)
-
     def add_atom(self, atom: Atom) -> int:
         self.atoms.append(atom)
         self._adj.append({})
@@ -234,9 +231,10 @@ def parse_graph(tokens: TokenSequence) -> MolGraph:
     ones left implicit.  Bare atoms whose bond order sum exceeds their
     largest valence raise :class:`ValenceError`.
     """
-    atom_tokens, bonds, result = _structure(tokens)
-    if not result.ok:
-        raise InvalidStructure(result.failures)
+    atom_tokens, bonds, failures = _assemble(tokens)
+    if failures:
+        failures.sort(key=lambda f: (f.position, f.kind.value))
+        raise InvalidStructure(tuple(failures))
 
     g = MolGraph()
     for index in atom_tokens:
@@ -546,13 +544,10 @@ def random_smiles(g: MolGraph, seed: int) -> str:
     rng.shuffle(comps)
     parts = []
     for comp in comps:
-        sub = g.subgraph(comp)
-        if len(sub) == 0:
-            continue
-        shuffle_pos = list(range(len(sub)))
+        shuffle_pos = list(range(len(comp)))
         rng.shuffle(shuffle_pos)
-        root = rng.randrange(len(sub))
-        parts.append(_render(sub, root, shuffle_pos))
+        root = rng.randrange(len(comp))
+        parts.append(_render(g.subgraph(comp), root, shuffle_pos))
     return ".".join(parts)
 
 
@@ -696,10 +691,6 @@ class Fingerprint:
     bits: int
     nbits: int
     radius: int
-
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
 
     def on_bits(self) -> list[int]:
         return [i for i in range(self.nbits) if (self.bits >> i) & 1]

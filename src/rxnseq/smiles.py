@@ -6,16 +6,17 @@ bracket reader, the one thing molecule and template-pattern grammars lex
 differently: :func:`tokenize` reads a bracket atom into an :class:`Atom`,
 ``templates.parse_pattern`` into a pattern constraint.  Splitting a
 reaction line into its parts is left to ``pipeline.parse_record``, which
-raises this module's :class:`MalformedReaction`.  Structure checking lives
-in :func:`validate`, which never raises: it returns a list of positioned
-failures so callers can score malformed model output instead of crashing
-on it.
+raises this module's :class:`MalformedReaction`.
 
-Every grammar decision about bonds is made once, in :func:`_assemble`,
-which reads the tokens of molecules and template patterns alike: a bond
-written without a symbol is aromatic (``:``) between two aromatic atoms
-and single (``-``) otherwise, so every bond it returns carries an
-explicit symbol.
+Structure checking and every grammar decision about bonds are made once,
+in :func:`_assemble`, which reads the tokens of molecules and template
+patterns alike.  It never raises: it returns positioned
+:class:`ValidationFailure` values with the bonds, and
+``molgraph.parse_graph`` raises them, sorted by position, as one
+``InvalidStructure``, so callers can score malformed model output instead
+of crashing on it.  A bond written without a symbol is aromatic (``:``)
+between two aromatic atoms and single (``-``) otherwise, so every bond it
+returns carries an explicit symbol.
 """
 
 from __future__ import annotations
@@ -41,12 +42,9 @@ __all__ = [
     "VALENCES",
     "ValidationFailure",
     "ValidationKind",
-    "ValidationResult",
     "bare_hydrogen_fill",
-    "detokenize",
     "format_bracket",
     "tokenize",
-    "validate",
 ]
 
 ORGANIC_SUBSET = ("Cl", "Br", "B", "C", "N", "O", "P", "S", "F", "I")
@@ -278,10 +276,6 @@ def tokenize(text: str) -> TokenSequence:
     return list(_lex(text, _parse_bracket))
 
 
-def detokenize(tokens: TokenSequence) -> str:
-    return "".join(t.text for t in tokens)
-
-
 class ValidationKind(enum.Enum):
     UNCLOSED_BRANCH = "unclosed_branch"
     UNMATCHED_BRANCH_CLOSE = "unmatched_branch_close"
@@ -301,15 +295,6 @@ class ValidationKind(enum.Enum):
 class ValidationFailure:
     kind: ValidationKind
     position: int  # first character of the token the failure is anchored to
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    failures: tuple[ValidationFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -444,26 +429,6 @@ def _assemble(tokens: TokenSequence) -> tuple[
     # token indices become character offsets only once a failure exists
     offsets = list(accumulate((len(t.text) for t in tokens), initial=0))
     return atoms, bonds, [ValidationFailure(kind, offsets[i]) for kind, i in found]
-
-
-def _structure(tokens: TokenSequence) -> tuple[
-    list[int], list[TopologyBond], ValidationResult
-]:
-    """One structure pass: atom token indices, bonds and the sorted failures."""
-    atoms, bonds, failures = _assemble(tokens)
-    failures.sort(key=lambda f: (f.position, f.kind.value))
-    return atoms, bonds, ValidationResult(tuple(failures))
-
-
-def validate(tokens: TokenSequence) -> ValidationResult:
-    """Structure-check a token sequence without raising.
-
-    Checks branch balance, ring-closure pairing, bond placement and dot
-    placement.  Failures come sorted by position, which counts characters
-    from the start of the tokens' text.  ``>`` separators are rejected here:
-    reaction strings must be split into parts before structural validation.
-    """
-    return _structure(tokens)[2]
 
 
 def bare_hydrogen_fill(

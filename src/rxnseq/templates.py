@@ -183,7 +183,7 @@ def parse_pattern(text: str) -> PatternGraph:
             f"unrecognized pattern text {text[exc.position]!r}", exc.position
         ) from exc
     # _assemble's first failure, the first one found: sorting them, as
-    # _structure does, would move C1CC)C's report from ')' to '1'
+    # parse_graph does, would move C1CC)C's report from ')' to '1'
     atom_tokens, bonds, failures = _assemble(tokens)
     if not atom_tokens:
         raise PatternSyntaxError("pattern has no atoms", 0)

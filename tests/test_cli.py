@@ -622,6 +622,30 @@ class TestPredict:
             header = next(csv.reader(handle))
         assert len(header) == 1 + 2 * 42  # 40 carbons and two '>', no PAD
 
+    def test_a_zero_step_decode_limit_predicts_nothing(self, trained, tmp_path, capsys):
+        # A last bucket 30:1 leaves no decoder slot after GO: every path
+        # decodes zero steps, and none of them fails.
+        _, data, _ = trained
+        checkpoint = tmp_path / "model.rxs2"
+        flags = ["--seed", "7", "--layers", "1", "--hidden-dim", "8", "--embedding-dim", "4"]
+        argv = ["train", "--data", str(data), "--out", str(checkpoint), *flags]
+        assert main([*argv, "--buckets", "30:1", "--batch-size", "3", "--steps", "2"]) == 0
+        model = ["--checkpoint", str(checkpoint)]
+        capsys.readouterr()
+        assert main(["predict", *model, "--input", "C=C.Cl>>"]) == 0
+        assert capsys.readouterr().out == "\n"
+        assert main(["predict", *model, "--data", str(data)]) == 0
+        assert capsys.readouterr().out == "\n\n\n"
+        path = tmp_path / "attention.csv"
+        assert main(["export-attention", *model, "--input", "C=C.Cl>>", "--out", str(path)]) == 0
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert len(rows) == 1 and rows[0][0] == "token"
+        assert main(["eval", *model, "--data", str(data)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["n"] == 3
+        assert (summary["correct_ratio"], summary["invalid_ratio"]) == (0.0, 1.0)
+
     def test_empty_molecule_is_input_error(self, trained, capsys):
         _, _, checkpoint = trained
         code = main(["predict", "--checkpoint", str(checkpoint), "--input", "C..C>>"])

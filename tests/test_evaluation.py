@@ -4,12 +4,14 @@ import csv
 import dataclasses
 import functools
 import json
+import logging
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from rxnseq import evaluation, molgraph
+from rxnseq import model as rmodel
 from rxnseq.cli import main
 from rxnseq.evaluation import (
     EmptyTestset,
@@ -23,12 +25,12 @@ from rxnseq.evaluation import (
     write_report,
 )
 from rxnseq.model import (
+    Decoded,
     Model,
     ModelConfig,
     batch_loss,
     fit,
     init_model,
-    predict,
     predict_with_attention,
     save_checkpoint,
 )
@@ -246,15 +248,14 @@ class TestScoringMemo:
     def scored(self, monkeypatch):
         model, records, input_vocab, output_vocab, predicted_for = scored_fixture()
 
-        def decoded(model, enc_ids, dec_ids):
-            predictions = [
-                [output_vocab.id_of(t.text) for t in tokenize(predicted_for[tuple(row)])]
-                for row in enc_ids.tolist()
-            ]
-            return predictions, np.arange(len(predictions), dtype=np.float32) / 8
+        def decoded(model, encoder_ids, decoder_ids):
+            for index, row in enumerate(encoder_ids):
+                text = predicted_for[tuple(row)]
+                ids = [output_vocab.id_of(t.text) for t in tokenize(text)]
+                empty = np.zeros((0, len(row)), dtype=np.float32)
+                yield Decoded(ids, empty, empty, index / 8)
 
-        monkeypatch.setattr(evaluation, "EVAL_BATCH_SIZE", 4)
-        monkeypatch.setattr(evaluation, "evaluate_batch", decoded)
+        monkeypatch.setattr(evaluation, "predict_with_attention", decoded)
         return model, records, input_vocab, output_vocab
 
     def test_rows_and_summary_equal_the_oracle(self, scored):
@@ -452,7 +453,7 @@ class TestBatchedEvaluate:
     def test_rows_match_predict_and_batch_loss_per_record(
         self, batch_size, monkeypatch
     ):
-        monkeypatch.setattr(evaluation, "EVAL_BATCH_SIZE", batch_size)
+        monkeypatch.setattr(rmodel, "DECODE_BATCH_SIZE", batch_size)
         model, records, input_vocab, output_vocab = two_buckets()
         report = evaluate(model, records, input_vocab, output_vocab)
         assert [row.index for row in report.rows] == list(range(len(records)))
@@ -460,15 +461,15 @@ class TestBatchedEvaluate:
             example = encode_example(
                 record, input_vocab, output_vocab, model.config.buckets
             )
-            ids = predict(model, np.array(example.encoder_ids))
-            assert row.predicted == "".join(output_vocab.token_of(i) for i in ids)
+            (decoded,) = predict_with_attention(model, [example.encoder_ids])
+            assert row.predicted == decoded.text(output_vocab)
             alone = batch_loss(
                 model, np.array([example.encoder_ids]), np.array([example.decoder_ids])
             )
             assert row.cross_entropy == pytest.approx(alone, rel=1e-5)
 
     def test_record_order_does_not_change_rows(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "EVAL_BATCH_SIZE", 2)
+        monkeypatch.setattr(rmodel, "DECODE_BATCH_SIZE", 2)
         model, records, input_vocab, output_vocab = two_buckets()
         forward = evaluate(model, records, input_vocab, output_vocab)
         backward = evaluate(model, records[::-1], input_vocab, output_vocab)
@@ -494,8 +495,8 @@ class TestBatchedEvaluate:
         for index in (3, len(mixed) - 1):
             row, record = report.rows[index], mixed[index]
             example = encode_example(record, input_vocab, output_vocab, model.config.buckets)
-            ids = predict(model, np.array(example.encoder_ids))
-            assert row.predicted == "".join(output_vocab.token_of(i) for i in ids)
+            (decoded,) = predict_with_attention(model, [example.encoder_ids])
+            assert row.predicted == decoded.text(output_vocab)
             alone_loss = batch_loss(
                 model, np.array([example.encoder_ids]), np.array([example.decoder_ids])
             )
@@ -576,6 +577,41 @@ class TestOnePath:
             assert "".join(t for t in emitted if t not in ("<pad>", "<go>")) == row.predicted
         assert max(len(row.predicted) for row in report.rows) > 4
 
+    def test_predict_data_prints_eval_predictions_in_input_order(
+        self, narrow_first_bucket, tmp_path, monkeypatch, capsys, caplog
+    ):
+        # Batches of 2 over three encoder shapes, with counts 8, 1 and 1, so
+        # batches of 2 and of 1 both occur.  The two records beyond every
+        # bucket go second and fourth, so the first batch, rows 0 and 2,
+        # skips a row of another shape.
+        monkeypatch.setattr(rmodel, "DECODE_BATCH_SIZE", 2)
+        model, records, input_vocab, output_vocab, checkpoint = narrow_first_bucket
+        records = [records[0], records[8], records[1], records[9], *records[2:8]]
+        buckets = model.config.buckets
+        rows = [encode_source(source_string(r), input_vocab, buckets) for r in records]
+        shapes = [len(row) for row in rows]
+        assert sorted(Counter(shapes).values()) == [1, 1, 8]
+        assert shapes[0] == shapes[2] != shapes[1]
+        middle = len(records) // 2
+        lines = [r.smiles() for r in records]
+        lines.insert(middle, "C=C.Br>CCBr")
+        data = tmp_path / "data.rsmi"
+        data.write_text("".join(line + "\n" for line in lines))
+        monkeypatch.delenv("RXNSEQ_THREADS", raising=False)  # no thread-cap warning
+        caplog.set_level(logging.WARNING, logger="rxnseq")
+        assert main(["predict", "--checkpoint", str(checkpoint), "--data", str(data)]) == 0
+        fault = "expected exactly two '>' separators, found 1"
+        assert caplog.messages == [f"line {middle + 1} skipped: {fault}"]
+        report = evaluate(model, records, input_vocab, output_vocab)
+        predicted = [row.predicted for row in report.rows]
+        predicted.insert(middle, "")
+        assert capsys.readouterr().out == "".join(p + "\n" for p in predicted)
+        batched = list(predict_with_attention(model, rows))
+        for row, decoded in zip(rows, batched):
+            (alone,) = predict_with_attention(model, [row])
+            assert decoded.ids == alone.ids
+            assert np.allclose(decoded.weights, alone.weights, rtol=0, atol=1e-6)
+
     def test_records_beyond_every_bucket_match_a_spec_that_holds_them(
         self, narrow_first_bucket
     ):
@@ -593,11 +629,9 @@ class TestOnePath:
             wide_dec = np.array([padded.decoder_ids])
             # greedy decoding is prefix-consistent: the wide spec's longer
             # limit only adds steps after the narrow one's
-            _, steps = predict_with_attention(model, enc[0])
-            _, wide_steps = predict_with_attention(wide, wide_enc[0])
-            assert [s.token_id for s in wide_steps[: len(steps)]] == [
-                s.token_id for s in steps
-            ]
+            (steps,) = predict_with_attention(model, enc)
+            (wide_steps,) = predict_with_attention(wide, wide_enc)
+            assert wide_steps.ids[: len(steps.ids)] == steps.ids
             assert batch_loss(model, enc, dec) == pytest.approx(
                 batch_loss(wide, wide_enc, wide_dec), rel=1e-5
             )

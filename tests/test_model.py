@@ -30,7 +30,6 @@ from rxnseq.model import (
     init_params,
     load_checkpoint,
     loss_and_grads,
-    predict,
     predict_with_attention,
     save_checkpoint,
     train_step,
@@ -40,6 +39,7 @@ from rxnseq.pipeline import (
     GO_ID,
     PAD_ID,
     BucketSpec,
+    Vocab,
     build_vocabs,
     encode_example,
     normalize,
@@ -309,26 +309,22 @@ class TestPadding:
     def test_source_at_two_widths_predicts_identical_ids(self):
         built, example, *_ = overfit_single()
         body = [i for i in example.encoder_ids if i != PAD_ID]
-        narrow = np.array(body)
-        wide = np.array([PAD_ID] * 9 + body)
-        ids_narrow, records_narrow = predict_with_attention(built, narrow)
-        ids_wide, records_wide = predict_with_attention(built, wide)
-        assert ids_narrow == ids_wide
-        assert [r.token_id for r in records_narrow] == [r.token_id for r in records_wide]
-        for a, b in zip(records_narrow, records_wide):
-            assert np.all(b.weights[:9] == 0.0)
-            assert np.allclose(b.weights[9:], a.weights, rtol=1e-5, atol=1e-7)
+        narrow, wide = predict_with_attention(built, [body, [PAD_ID] * 9 + body])
+        assert narrow.ids == wide.ids
+        assert np.all(wide.weights[:, :9] == 0.0)
+        assert np.allclose(wide.weights[:, 9:], narrow.weights, rtol=1e-5, atol=1e-7)
         untrained = init_model(tiny_config(seed=2))
-        assert predict(untrained, np.array([5, 6, 7, 4, 4])) == predict(
-            untrained, np.array([0, 0, 5, 6, 7, 4, 4])
+        short, padded = predict_with_attention(
+            untrained, [[5, 6, 7, 4, 4], [0, 0, 5, 6, 7, 4, 4]]
         )
+        assert short.ids == padded.ids
 
     def test_pad_weights_are_exactly_zero_in_batch_decoding(self):
         built = init_model(tiny_config(seed=4))
         enc, _ = tiny_batch()
         memory, stack, ma, pad = m._encoder_pass(built, enc)
         _, _, weights = m._greedy(built, memory, ma, pad, stack)
-        for w in weights:
+        for w in weights.transpose(1, 0, 2):
             assert np.all(w[pad] == 0.0)
             assert np.allclose(w.sum(axis=1), 1.0, atol=1e-6)
 
@@ -348,7 +344,7 @@ class TestPadding:
         with pytest.raises(ValueError, match="only PAD"):
             batch_loss(built, enc, dec)
         with pytest.raises(ValueError, match="only PAD"):
-            predict(built, np.zeros(7, dtype=np.int64))
+            next(predict_with_attention(built, [[PAD_ID] * 7]))
 
 
 class TestLoss:
@@ -474,31 +470,32 @@ class TestTraining:
     def test_memorizes_single_reaction(self):
         built, example, record, output_vocab, log = overfit_single()
         assert log.losses[-1] < 0.1
-        ids = predict(built, np.array(example.encoder_ids))
-        text = "".join(output_vocab.token_of(i) for i in ids)
-        assert text == record.products[0]
+        (decoded,) = predict_with_attention(built, [example.encoder_ids])
+        assert decoded.text(output_vocab) == record.products[0]
 
     def test_greedy_decode_deterministic(self):
         built, example, *_ = overfit_single()
-        enc = np.array(example.encoder_ids)
-        assert predict(built, enc) == predict(built, enc)
+        (first,) = predict_with_attention(built, [example.encoder_ids])
+        (second,) = predict_with_attention(built, [example.encoder_ids])
+        assert first.ids == second.ids
+        assert np.array_equal(first.weights, second.weights)
 
     def test_attention_rows_normalized(self):
         built, example, *_ = overfit_single()
-        ids, records = predict_with_attention(built, np.array(example.encoder_ids))
-        assert len(records) == len(ids) + 1  # EOS step keeps its trace
-        for record in records:
-            assert record.weights.shape == (16,)
-            assert abs(record.weights.sum() - 1.0) < 1e-5
+        (decoded,) = predict_with_attention(built, [example.encoder_ids])
+        assert decoded.ids[-1] == EOS_ID  # EOS step keeps its trace
+        assert decoded.weights.shape == (len(decoded.ids), 16)
+        assert np.allclose(decoded.weights.sum(axis=1), 1.0, atol=1e-5)
 
     def test_predict_with_attention_is_the_decode_step_loop_bit_for_bit(self):
-        trained, example, *_ = overfit_single()
+        trained, example, _, output_vocab, _ = overfit_single()
         untrained = init_model(tiny_config(seed=2))  # emits GO until the limit
         cases = [
-            (trained, np.array(example.encoder_ids)),
-            (untrained, np.array([0, 0, 5, 6, 7, 4, 4])),
+            (trained, np.array(example.encoder_ids), output_vocab),
+            # the tiny config's nine output ids
+            (untrained, np.array([0, 0, 5, 6, 7, 4, 4]), Vocab(list("abcde"))),
         ]
-        for built, enc in cases:
+        for built, enc, vocab in cases:
             memory, stack = encode(built, enc)
             prev, tokens, scores, weights = GO_ID, [], [], []
             for _ in range(built.config.buckets[0][1] - 1):
@@ -511,12 +508,13 @@ class TestTraining:
                 weights.append(record.weights)
                 if prev == EOS_ID:
                     break
-            ids, records = predict_with_attention(built, enc)
-            assert ids == [t for t in tokens if t not in (PAD_ID, GO_ID, EOS_ID)]
-            assert [r.token_id for r in records] == tokens
-            for record, s, w in zip(records, scores, weights):
-                assert np.array_equal(record.scores, s)
-                assert np.array_equal(record.weights, w)
+            (decoded,) = predict_with_attention(built, [enc])
+            assert decoded.ids == tokens
+            assert decoded.cross_entropy is None
+            regular = [t for t in tokens if t not in (PAD_ID, GO_ID, EOS_ID)]
+            assert decoded.text(vocab) == "".join(vocab.token_of(t) for t in regular)
+            assert np.array_equal(decoded.scores, scores)
+            assert np.array_equal(decoded.weights, weights)
 
     def test_fit_deterministic(self):
         a = build_overfit_single()[4].losses

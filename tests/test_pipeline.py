@@ -247,7 +247,7 @@ class TestIngestFilters:
             return tokenize(text)
 
         def counting_parse(tokens):
-            parsed[smiles.detokenize(tokens)] += 1
+            parsed["".join(t.text for t in tokens)] += 1
             return parse_graph(tokens)
 
         for module in (smiles, molgraph):

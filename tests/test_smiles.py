@@ -11,13 +11,11 @@ from rxnseq.smiles import (
     TokenKind,
     UnrecognizedCharacter,
     UnterminatedBracket,
-    detokenize,
     tokenize,
-    validate,
     ValidationKind,
     _assemble,
 )
-from rxnseq.molgraph import strip_atom_maps
+from rxnseq.molgraph import InvalidStructure, parse_string, strip_atom_maps
 from rxnseq.pipeline import ingest_lines, parse_record
 from rxnseq.templates import parse_pattern
 
@@ -71,7 +69,7 @@ def test_tokenize_reaction_separators():
     ],
 )
 def test_round_trip(text):
-    assert detokenize(tokenize(text)) == text
+    assert "".join(texts(tokenize(text))) == text
 
 
 def test_bracket_fields():
@@ -114,7 +112,6 @@ def test_unrecognized_and_unterminated():
 
 def test_empty_input_is_empty_part():
     assert tokenize("") == []
-    assert detokenize([]) == ""
 
 
 def test_split_reaction():
@@ -134,7 +131,7 @@ def test_split_reaction():
     ["CCO", "c1ccccc1", "CC(C)(C)Br", "C/C=C/C", "C1CC1.C", "[NH4+]", "C=1CCCCC=1"],
 )
 def test_validate_accepts(text):
-    assert validate(tokenize(text)).ok
+    parse_string(text)
 
 
 @pytest.mark.parametrize(
@@ -160,9 +157,11 @@ def test_validate_accepts(text):
     ],
 )
 def test_validate_rejects(text, kind):
-    result = validate(tokenize(text))
-    assert not result.ok
-    assert kind in {f.kind for f in result.failures}
+    with pytest.raises(InvalidStructure) as err:
+        parse_string(text)
+    failures = err.value.failures
+    assert kind in {f.kind for f in failures}
+    assert list(failures) == sorted(failures, key=lambda f: (f.position, f.kind.value))
 
 
 def test_strip_atom_maps_collapses_redundant_brackets():
@@ -234,7 +233,7 @@ def test_tokenize_never_merges_or_drops_characters():
             tokens = tokenize(text)
         except Exception:
             continue
-        assert detokenize(tokens) == text
+        assert "".join(texts(tokens)) == text
 
 
 # Each case: the bond symbols _assemble returns, counted; the biphenyl's
