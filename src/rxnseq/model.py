@@ -12,6 +12,15 @@ b (3h,), with the z, r and h gate blocks side by side, so a step is three
 matrix products.  RXS2 checkpoints still store nine per-gate tensors per layer.
 PADs are inert: an encoder row keeps its state across its own PAD steps and
 attention gives them weight 0, so buckets only shape batches.
+
+Backpropagation through time keeps, per step, only what backward cannot
+cheaply recompute: each GRU cell's input, incoming state, gates and
+candidate, the attention query and weights, and the output features.
+Encoder states are stored once, in each layer's output array.  Backward
+recomputes the attention tanh s (batch, length, hidden) from the query and
+the keys with the same operands in the same order, so gradients keep their
+bits while a step's memory grows with the encoder length plus the decoder
+length, not with their product.
 """
 
 from __future__ import annotations
@@ -302,7 +311,9 @@ def _encode_forward(model: Model, enc_ids: np.ndarray, caches: list | None = Non
     layer, PAD mask).  A row keeps its state across its own PAD steps, so
     leading columns that are PAD in every row stay zero and are skipped, and
     only a column holding some PAD selects per row.  When caches is a list
-    (training), each layer's BPTT caches are appended to it.
+    (training), each layer's BPTT caches are appended to it.  Each state is
+    stored once, in its layer's (batch, length, hidden) output: a step's
+    cached incoming state is a view of the previous column there.
     """
     params, config = model.params, model.config
     batch, length = enc_ids.shape
@@ -321,12 +332,14 @@ def _encode_forward(model: Model, enc_ids: np.ndarray, caches: list | None = Non
             h_new, cache = _gru_forward(layer, layer_in[:, t], h)
             if padded[t]:
                 h_new = np.where(pad[:, t, None], h, h_new)
-            outs[:, t] = h = h_new
+            outs[:, t] = h_new
+            h = outs[:, t]
             if caches is not None:
                 layer_caches.append(cache)
         if caches is not None:
             caches.append(layer_caches)
-        finals.append(h)
+        # a copy, so a lower layer's outputs are not held through decoding
+        finals.append(h.copy())
         layer_in = outs
     return layer_in, finals, pad
 
@@ -355,23 +368,50 @@ class AttentionRecord:
     weights: np.ndarray
 
 
-def _attention_forward(params: ModelParams, query, memory, ma, pad=None):
-    """Additive attention; positions set in pad (batch, length) get weight 0."""
-    s = np.tanh((query @ params.attn_q)[:, None, :] + ma)
+def _pad_bias(pad: np.ndarray, dtype) -> np.ndarray:
+    """The additive attention mask for PAD mask pad (batch, length): -inf at
+    PAD positions and 0 elsewhere.  A score plus 0 is the score, so the
+    softmax weights are those of the score masked to -inf at the PADs."""
+    return np.where(pad, -np.inf, 0.0).astype(dtype)
+
+
+def _attention_tanh(params: ModelParams, query, ma) -> np.ndarray:
+    """s = tanh(A q + B m_i) (batch, length, hidden), from the keys ma = memory
+    @ attn_m.  Forward and backward both compute s here, so the recomputed
+    array has the same bits as the forward one."""
+    s = (query @ params.attn_q)[:, None, :] + ma
+    return np.tanh(s, out=s)
+
+
+def _attention_forward(params: ModelParams, query, memory, ma, bias=None):
+    """Additive attention; bias (batch, length) from _pad_bias gives PAD
+    positions weight 0, and None means no PAD.  Returns the context, the raw
+    scores, the weights and the BPTT cache (query, weights).  The cache keeps
+    no (batch, length, hidden) array: backward recomputes s from query and ma.
+    """
+    s = _attention_tanh(params, query, ma)
     e = s @ params.attn_v
-    w = _softmax(e if pad is None else np.where(pad, -np.inf, e), axis=1)
+    w = _softmax(e if bias is None else e + bias, axis=1)
     context = np.einsum("bt,bth->bh", w, memory)
-    return context, e, w, (query, s, w)
+    return context, e, w, (query, w)
 
 
-def _attention_backward(params: ModelParams, grad: ModelParams, cache, dc, memory):
-    query, s, w = cache
+def _attention_backward(params: ModelParams, grad: ModelParams, cache, dc, memory, ma):
+    """Gradients of one _attention_forward call: accumulates attn_v's and
+    attn_q's into grad, and returns those of the query, the memory (through
+    the context) and the keys ma.  s is recomputed here rather than cached,
+    which costs one (batch, hidden) product and one tanh per step; the
+    (batch, length, hidden) temporaries are reused in place."""
+    query, w = cache
+    s = _attention_tanh(params, query, ma)
     dw = np.einsum("bh,bth->bt", dc, memory)
     dmem = w[:, :, None] * dc[:, None, :]
     de = w * (dw - (dw * w).sum(axis=1, keepdims=True))
     grad.attn_v += np.einsum("bth,bt->h", s, de)
-    ds = de[:, :, None] * params.attn_v
-    da = ds * (1.0 - s * s)
+    da = de[:, :, None] * params.attn_v
+    s *= s
+    np.subtract(1.0, s, out=s)
+    da *= s
     dqa = da.sum(axis=1)
     grad.attn_q += query.T @ dqa
     dquery = dqa @ params.attn_q.T
@@ -397,10 +437,10 @@ def attention(
     return context, AttentionRecord(scores=e, weights=w)
 
 
-def _decoder_step(params: ModelParams, ids, stack, memory, ma, pad):
+def _decoder_step(params: ModelParams, ids, stack, memory, ma, bias):
     """Attention on the incoming top state, then [embedding; context] through
     the GRU stack and the output projection of [new top state; context]."""
-    context, e, w, att_cache = _attention_forward(params, stack[-1], memory, ma, pad)
+    context, e, w, att_cache = _attention_forward(params, stack[-1], memory, ma, bias)
     x = np.concatenate([params.dec_embed[ids], context], axis=1)
     new_stack = []
     cell_caches = []
@@ -434,9 +474,11 @@ def decode_step(
         raise DimensionMismatch(
             f"hidden stack has {len(stack)} layers, expected {config.num_layers}"
         )
-    pad = None if pad_mask is None else np.atleast_2d(np.asarray(pad_mask, dtype=bool))
+    bias = None
+    if pad_mask is not None:
+        bias = _pad_bias(np.atleast_2d(np.asarray(pad_mask, dtype=bool)), params.dtype)
     logits, new_stack, e, w, _ = _decoder_step(
-        params, ids, stack, memory, memory @ params.attn_m, pad
+        params, ids, stack, memory, memory @ params.attn_m, bias
     )
     if single:
         return (
@@ -447,9 +489,9 @@ def decode_step(
     return logits, new_stack, AttentionRecord(scores=e, weights=w)
 
 
-def _teacher_forced(params: ModelParams, memory, ma, pad, stack, dec_ids, step_caches=None):
+def _teacher_forced(params: ModelParams, memory, ma, bias, stack, dec_ids, step_caches=None):
     """Decoder pass fed the reference, from an encoder pass (memory, its
-    attention keys ma = memory @ attn_m, PAD mask, final hidden stack).
+    attention keys ma = memory @ attn_m, PAD bias, final hidden stack).
 
     Returns the mean cross-entropy per non-PAD target token, each row's mean
     over its own target tokens, and the softmax pieces backward needs.  When
@@ -470,7 +512,7 @@ def _teacher_forced(params: ModelParams, memory, ma, pad, stack, dec_ids, step_c
     logits = np.empty((batch, steps, params.out_b.shape[0]), dtype=params.dtype)
     for t in range(steps):
         logits[:, t], stack, _, _, step_cache = _decoder_step(
-            params, inputs[:, t], stack, memory, ma, pad
+            params, inputs[:, t], stack, memory, ma, bias
         )
         if step_caches is not None:
             step_caches.append(step_cache)
@@ -496,19 +538,20 @@ def _teacher_forced(params: ModelParams, memory, ma, pad, stack, dec_ids, step_c
 
 
 def _encoder_pass(model: Model, enc_ids: np.ndarray, caches: list | None = None):
-    """(memory, final hidden stack, keys memory @ attn_m, PAD mask) for a batch."""
+    """(memory, final hidden stack, keys memory @ attn_m, PAD bias) for a batch."""
     memory, stack, pad = _encode_forward(model, enc_ids, caches)
     if pad.all(axis=1).any():
         raise ValueError("an encoder row holds only PAD ids")
-    return memory, stack, memory @ model.params.attn_m, pad
+    params = model.params
+    return memory, stack, memory @ params.attn_m, _pad_bias(pad, params.dtype)
 
 
 def batch_loss(model: Model, enc_ids, dec_ids) -> float:
     """Mean cross-entropy per non-PAD target token under teacher forcing."""
     enc = np.asarray(enc_ids, dtype=np.int64)
     dec = np.asarray(dec_ids, dtype=np.int64)
-    memory, stack, ma, pad = _encoder_pass(model, enc)
-    loss, _, _ = _teacher_forced(model.params, memory, ma, pad, stack, dec)
+    memory, stack, ma, bias = _encoder_pass(model, enc)
+    loss, _, _ = _teacher_forced(model.params, memory, ma, bias, stack, dec)
     return loss
 
 
@@ -519,8 +562,8 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
     dec = np.asarray(dec_ids, dtype=np.int64)
     enc_caches: list = []
     step_caches: list = []
-    memory, stack, ma, pad = _encoder_pass(model, enc, enc_caches)
-    loss, _, fwd = _teacher_forced(params, memory, ma, pad, stack, dec, step_caches)
+    memory, stack, ma, bias = _encoder_pass(model, enc, enc_caches)
+    loss, _, fwd = _teacher_forced(params, memory, ma, bias, stack, dec, step_caches)
     grad = zero_params(config, params.dtype)
 
     targets = fwd["targets"]
@@ -558,7 +601,7 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
         dcontext += dx[:, config.embedding_dim :]
         np.add.at(grad.dec_embed, inputs[:, t], dx[:, : config.embedding_dim])
         dquery, dmem_step, dma = _attention_backward(
-            params, grad, att_cache, dcontext, memory
+            params, grad, att_cache, dcontext, memory, ma
         )
         dmem += dmem_step
         dma_total += dma
@@ -569,6 +612,7 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
 
     length = memory.shape[1]
     start = length - len(enc_caches[0])  # leading all-PAD columns were skipped
+    pad = enc == PAD_ID
     padded = pad.any(axis=0).tolist()
     dx_embed = np.zeros(
         (enc.shape[0], length, config.embedding_dim), dtype=params.dtype
@@ -662,7 +706,7 @@ def fit(
     return log
 
 
-def _greedy(model: Model, memory, ma, pad, stack):
+def _greedy(model: Model, memory, ma, bias, stack):
     """Greedy decoding from GO for a batch, until every row has emitted EOS or
     the limit has run: the largest decoder length less GO's slot, which may be
     0 steps.
@@ -672,7 +716,7 @@ def _greedy(model: Model, memory, ma, pad, stack):
     that have already emitted EOS keep stepping; callers read each row up to
     its first EOS.
     """
-    batch, length = pad.shape
+    batch, length = bias.shape
     limit = model.config.buckets[-1][1] - 1
     emitted = np.empty((batch, limit), dtype=np.int64)
     scores = np.empty((batch, limit, length), dtype=model.params.dtype)
@@ -683,7 +727,7 @@ def _greedy(model: Model, memory, ma, pad, stack):
     while steps < limit and not done.all():
         # [:4] lets the step's backward caches go before the next step runs
         logits, stack, scores[:, steps], weights[:, steps] = _decoder_step(
-            model.params, prev, stack, memory, ma, pad
+            model.params, prev, stack, memory, ma, bias
         )[:4]
         prev = emitted[:, steps] = logits.argmax(axis=1)
         done |= prev == EOS_ID
@@ -721,11 +765,11 @@ def _decode_batch(model: Model, enc: np.ndarray, dec: np.ndarray | None) -> list
     """Each row of one batch decoded, from one encoder pass.  The
     teacher-forced pass runs before the greedy one, so that the two never
     hold their arrays at the same time."""
-    memory, stack, ma, pad = _encoder_pass(model, enc)
+    memory, stack, ma, bias = _encoder_pass(model, enc)
     losses = [None] * len(enc)
     if dec is not None:
-        losses = _teacher_forced(model.params, memory, ma, pad, stack, dec)[1].tolist()
-    emitted, scores, weights = _greedy(model, memory, ma, pad, stack)
+        losses = _teacher_forced(model.params, memory, ma, bias, stack, dec)[1].tolist()
+    emitted, scores, weights = _greedy(model, memory, ma, bias, stack)
     out = []
     for row, loss in enumerate(losses):
         eos = np.flatnonzero(emitted[row] == EOS_ID)

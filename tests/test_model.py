@@ -3,6 +3,7 @@ import functools
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,17 @@ class TestAttention:
             assert record.weights.min() >= 0.0
             assert abs(record.weights.sum() - 1.0) < 1e-5
 
+    def test_pad_bias_weights_match_masked_scores_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        e = rng.normal(size=(2000, 9)).astype(np.float32)
+        e[rng.random(e.shape) < 0.1] = -0.0
+        e[rng.random(e.shape) < 0.1] = 0.0
+        pad = np.arange(9) < rng.integers(0, 9, size=(2000, 1))  # masked prefixes
+        masked = m._softmax(np.where(pad, -np.inf, e), axis=1)
+        biased = m._softmax(e + m._pad_bias(pad, np.float32), axis=1)
+        assert biased.dtype == np.float32
+        assert masked.tobytes() == biased.tobytes()
+
     def test_dimension_mismatch(self):
         params = init_params(tiny_config())
         with pytest.raises(DimensionMismatch):
@@ -322,8 +334,9 @@ class TestPadding:
     def test_pad_weights_are_exactly_zero_in_batch_decoding(self):
         built = init_model(tiny_config(seed=4))
         enc, _ = tiny_batch()
-        memory, stack, ma, pad = m._encoder_pass(built, enc)
-        _, _, weights = m._greedy(built, memory, ma, pad, stack)
+        memory, stack, ma, bias = m._encoder_pass(built, enc)
+        _, _, weights = m._greedy(built, memory, ma, bias, stack)
+        pad = enc == PAD_ID
         for w in weights.transpose(1, 0, 2):
             assert np.all(w[pad] == 0.0)
             assert np.allclose(w.sum(axis=1), 1.0, atol=1e-6)
@@ -439,6 +452,66 @@ class TestGradients:
                 nflat[i] = (up - down) / (2 * eps)
             err = relative_errors(g, numeric).max()
             assert err < 1e-4, f"{name}: max relative error {err}"
+
+
+def arrays_in(obj):
+    """Every array in a nest of tuples and lists, with each array it views."""
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from arrays_in(item)
+    elif isinstance(obj, np.ndarray):
+        while obj is not None:
+            yield obj
+            obj = obj.base
+
+
+def step_peak_bytes(built, enc_len: int, dec_len: int) -> int:
+    rng = np.random.default_rng(enc_len)
+    enc = rng.integers(4, 40, (32, enc_len))
+    dec = rng.integers(4, 40, (32, dec_len))
+    dec[:, 0] = GO_ID
+    tracemalloc.start()
+    try:
+        loss_and_grads(built, enc, dec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingMemory:
+    def test_step_memory_grows_linearly_with_sequence_length(self):
+        # Linear growth predicts (66+40)/(30+18) = 2.2; caching a (batch,
+        # length, hidden) array per decoder step grows with 66*40/(30*18) = 4.9.
+        config = tiny_config(
+            input_vocab_size=40, output_vocab_size=40, embedding_dim=64, hidden_dim=64
+        )
+        built = init_model(config)
+        step_peak_bytes(built, 4, 3)  # one-time allocations outside the ratio
+        short = step_peak_bytes(built, 30, 18)
+        long = step_peak_bytes(built, 66, 40)
+        assert long / short <= 2.5, (short, long)
+
+    def test_decoder_step_caches_hold_no_attention_tanh(self):
+        built = init_model(tiny_config(seed=4))
+        enc, dec = tiny_batch()
+        step_caches: list = []
+        memory, stack, ma, bias = m._encoder_pass(built, enc)
+        m._teacher_forced(built.params, memory, ma, bias, stack, dec, step_caches)
+        assert step_caches
+        for arr in arrays_in(step_caches):
+            assert arr.size != memory.size, arr.shape
+
+    def test_encoder_caches_store_each_state_once(self):
+        built = init_model(tiny_config(seed=4))
+        enc, _ = tiny_batch()
+        caches: list = []
+        memory, *_ = m._encoder_pass(built, enc, caches)
+        start = enc.shape[1] - len(caches[0])
+        assert start == 1  # the all-PAD first column is skipped
+        outputs = [layer_caches[0][0].base for layer_caches in caches[1:]] + [memory]
+        for layer_caches, out in zip(caches, outputs):
+            for k, (_, h, *_) in enumerate(layer_caches[1:], start=1):
+                assert np.shares_memory(h, out[:, start + k - 1])
 
 
 def build_overfit_single():
