@@ -310,13 +310,18 @@ def cmd_gen(args) -> int:
         max_atoms=args.max_atoms,
         max_functional_groups=args.max_groups,
     )
+    began = time.perf_counter()
     records, failures = generate_dataset(templates, substrates, f)
+    seconds = time.perf_counter() - began
     write_reactions(records, args.out)
     logger.info(
-        "generated %d reactions from %d templates (%d applications failed)",
+        "generated %d reactions from %d templates (%d applications failed) "
+        "in %.2f s, %.1f records/s",
         len(records),
         len(templates),
         len(failures),
+        seconds,
+        len(records) / seconds,
     )
     return 0
 

@@ -12,6 +12,13 @@ already-tried sibling, under the automorphisms found so far that fix the
 node's individualized atoms, is skipped, and a branch whose first atom
 joins such an orbit is abandoned.  A skipped branch is the image of a
 tried one, so it holds the same renderings and the result is unchanged.
+The search starts out knowing the cheapest automorphisms: the swap of
+two terminal atoms that share a neighbour, a bond order, an initial rank
+and an emitted atom text (a CF3's fluorines, a gem-dimethyl's methyls).
+Such a swap maps every leaf to one that renders the same string, so it
+prunes as a found one does, without the leaves that would find it.  The
+text is in the key because stereo markers are not ranked: ``C`` and
+``[C@H3]`` share a rank, but swapping them changes the rendering.
 ``canonical_from_string`` remembers its most recent distinct inputs.
 Stereo markers are carried through emission but excluded from ranking,
 so two renderings of one molecule that differ only in stereo layout may
@@ -445,21 +452,41 @@ class _SearchNode:
 _EMISSION_BUDGET = 20000
 
 
+def _twin_swaps(g: MolGraph, ranks: list[int]) -> list[list[int]]:
+    """The swap of every pair of terminal atoms that share a neighbour, a
+    bond order, a rank and an emitted text, as permutations."""
+    twins: dict[tuple, list[int]] = {}
+    for i, nbrs in enumerate(g._adj):
+        if len(nbrs) == 1:
+            ((j, order),) = nbrs.items()
+            twins.setdefault((j, order, ranks[i], _atom_text(g, i)), []).append(i)
+    swaps = []
+    for group in twins.values():
+        for k, a in enumerate(group):
+            for b in group[k + 1:]:
+                sigma = list(range(len(g.atoms)))
+                sigma[a], sigma[b] = b, a
+                swaps.append(sigma)
+    return swaps
+
+
 def _canonical_component(g: MolGraph) -> str:
     """The smallest leaf rendering of the tie-breaking search tree.
 
     A node's children individualize each atom of its first tied class;
     children in the orbit of a tried sibling are skipped (module
-    docstring).  Leaves that repeat a rendering yield the automorphisms.
+    docstring).  The automorphisms are the terminal twins' swaps and those
+    that leaves repeating a rendering yield.
     """
     n = len(g.atoms)
     if n == 0:
         return ""
     bonds = _bond_keys(g)
+    ranks = _initial_ranks(g)
     budget = _EMISSION_BUDGET
     best: str | None = None
     first_order: dict[str, list[int]] = {}  # rendering -> emission order of its first leaf
-    automorphisms: list[list[int]] = []
+    automorphisms = _twin_swaps(g, ranks)
     path: list[int] = []  # the atom individualized at each open node
     nodes: list[_SearchNode] = []  # the open nodes, root first
 
@@ -507,7 +534,7 @@ def _canonical_component(g: MolGraph) -> str:
             nodes.pop()
         return depth
 
-    search(_refine(bonds, _initial_ranks(g)))
+    search(_refine(bonds, ranks))
     assert best is not None
     return best
 

@@ -33,6 +33,7 @@ from .molgraph import (
     GraphError,
     MolGraph,
     ValenceError,
+    canonical_from_string,
     canonical_smiles,
     effective_hcount,
     parse_string,
@@ -317,14 +318,31 @@ def _atom_compatible(g: MolGraph, gi: int, pa: PatternAtom) -> bool:
     return True
 
 
+def _fewer(have: list, need: list) -> bool:
+    """Whether ``have`` holds fewer copies than ``need`` of some item."""
+    return any(have.count(x) < need.count(x) for x in set(need))
+
+
 def _embeddings(pattern: PatternGraph, g: MolGraph):
     """Yield every injective assignment {pattern index -> atom index}.
 
     Molecule bonds not mentioned by the pattern are allowed (subgraph
-    monomorphism, as in substructure search).
+    monomorphism, as in substructure search).  A precheck comes first: an
+    embedding maps pattern atoms and bonds one-to-one onto molecule atoms
+    and bonds of the same element and bond class, so when ``g`` has fewer
+    atoms of some element, or fewer bonds of some class, than the pattern
+    names, none exists and none is searched for.
     """
     n = len(pattern.atoms)
     if n == 0:
+        return
+    if _fewer(
+        [a.element for a in g.atoms],
+        [a.element for a in pattern.atoms if a.element is not None],
+    ) or _fewer(
+        [BOND_CLASS[order] for _, _, order in g.bonds()],
+        [BOND_CLASS[order] for _, _, order in pattern.bonds()],
+    ):
         return
 
     # search order: breadth-first from atom 0 so each later atom has an
@@ -486,49 +504,51 @@ def apply_template(
     Returns an empty list when the pattern does not match, otherwise a
     single record for the selected product.
     """
-    embeddings = match_pattern(template.substrate_pattern, substrate)
-    candidates: dict[tuple[str, ...], int] = {}
-    for embedding in embeddings:
-        work, kept, gained = _edit_substrate(substrate, template, embedding)
-        product_graph = work.subgraph(kept)
-        rendered = canonical_smiles(product_graph)
-        products = tuple(rendered.split(".")) if rendered else ()
-        if not products:
-            continue
-        score = max((_heavy_degree(work, i) for i in gained), default=-1)
-        previous = candidates.get(products)
-        if previous is None or score > previous:
-            candidates[products] = score
-    if not candidates:
+    products = _select_products(template, substrate)
+    if products is None:
         return []
+    return [_record(template, canonical_smiles(substrate), products)]
 
-    best_score = max(candidates.values())
-    best_products = min(
-        products for products, score in candidates.items() if score == best_score
-    )
 
-    reactants = sorted(
-        part
-        for g in [substrate, *map(parse_string, template.coreactants)]
-        for part in _canonical_parts_graph(g)
-    )
-    reagents = sorted(
-        part
-        for g in map(parse_string, template.reagents)
-        for part in _canonical_parts_graph(g)
-    )
-    return [
-        ReactionRecord(
-            reactants=tuple(reactants),
-            reagents=tuple(reagents),
-            products=best_products,
-        )
+def _select_products(
+    template: ReactionTemplate, substrate: MolGraph
+) -> tuple[str, ...] | None:
+    """The products the rule picks (module docstring), or None on no match.
+
+    Every embedding's edit is scored first; only the best-scoring products
+    are canonicalized, since the rule picks among them alone.
+    """
+    best_score = -2  # below every score
+    best: list[tuple[MolGraph, list[int]]] = []
+    for embedding in match_pattern(template.substrate_pattern, substrate):
+        work, kept, gained = _edit_substrate(substrate, template, embedding)
+        score = max((_heavy_degree(work, i) for i in gained), default=-1)
+        if score > best_score:
+            best_score, best = score, []
+        if score == best_score:
+            best.append((work, kept))
+    if not best:
+        return None
+    return min(tuple(canonical_smiles(work.subgraph(kept)).split(".")) for work, kept in best)
+
+
+def _parts(canonical: str) -> list[str]:
+    return canonical.split(".") if canonical else []
+
+
+def _record(
+    template: ReactionTemplate, substrate: str, products: tuple[str, ...]
+) -> ReactionRecord:
+    """The record of ``template`` applied to the canonical ``substrate``."""
+    reactants = _parts(substrate) + [
+        p for smiles in template.coreactants for p in _parts(canonical_from_string(smiles))
     ]
-
-
-def _canonical_parts_graph(g: MolGraph) -> list[str]:
-    rendered = canonical_smiles(g)
-    return rendered.split(".") if rendered else []
+    reagents = [p for smiles in template.reagents for p in _parts(canonical_from_string(smiles))]
+    return ReactionRecord(
+        reactants=tuple(sorted(reactants)),
+        reagents=tuple(sorted(reagents)),
+        products=products,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +634,15 @@ def enumerate_substrates(
     Returns (accepted graphs, skipped (line number, text, reason) rows);
     invalid lines are skipped, never fatal.
     """
-    accepted: list[MolGraph] = []
+    accepted, skipped = _eligible_substrates(raw, f)
+    return [g for g, _ in accepted], skipped
+
+
+def _eligible_substrates(
+    raw: list[str], f: SubstrateFilter
+) -> tuple[list[tuple[MolGraph, str]], list[tuple[int, str, str]]]:
+    """:func:`enumerate_substrates`, each graph with its canonical SMILES."""
+    accepted: list[tuple[MolGraph, str]] = []
     skipped: list[tuple[int, str, str]] = []
     seen: set[str] = set()
     for line_number, line in enumerate(raw, start=1):
@@ -663,7 +691,7 @@ def enumerate_substrates(
             if key in seen:
                 continue
             seen.add(key)
-            accepted.append(variant)
+            accepted.append((variant, key))
     return accepted, skipped
 
 
@@ -679,20 +707,23 @@ def generate_dataset(
     """
     if f is None:
         f = default_substrate_filter()
-    graphs, skipped = enumerate_substrates(substrates, f)
+    eligible, skipped = _eligible_substrates(substrates, f)
     for line_number, text, reason in skipped:
         logger.info("substrate skipped (line %d, %s): %s", line_number, text, reason)
 
     records: dict[str, ReactionRecord] = {}
     failures: list[tuple[str, str, str]] = []
     for template in templates:
-        for g in graphs:
+        for g, key in eligible:
+            # apply_template, with the substrate's canonical form from above
             try:
-                produced = apply_template(template, g)
+                products = _select_products(template, g)
+                if products is None:
+                    continue
+                record = _record(template, key, products)
             except (GraphError, ValenceError) as exc:
-                failures.append((template.name, canonical_smiles(g), str(exc)))
+                failures.append((template.name, key, str(exc)))
                 continue
-            for record in produced:
-                records.setdefault(record.smiles(), record)
+            records.setdefault(record.smiles(), record)
     ordered = [records[key] for key in sorted(records)]
     return ordered, failures

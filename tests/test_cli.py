@@ -196,6 +196,27 @@ class TestGen:
         assert "C=C.Cl>>CCCl" in lines
         assert all(line.count(">") == 2 for line in lines)
 
+    def test_final_line_reports_wall_time_and_records_per_second(
+        self, tmp_path, caplog, capsys
+    ):
+        templates = tmp_path / "templates.txt"
+        templates.write_text("hydrochlorination | [C:1]=[C:2] | Cl | | [C:1][C:2]Cl\n")
+        substrates = tmp_path / "substrates.smi"
+        substrates.write_text("C=C\nCC=C\nCCC\n")
+        out = tmp_path / "gen.rsmi"
+        caplog.set_level(logging.INFO, logger="rxnseq")
+        argv = ["gen", "--templates", str(templates), "--substrates", str(substrates),
+                "--out", str(out)]
+        assert main(argv) == 0
+        line = caplog.records[-1].getMessage()
+        assert re.fullmatch(
+            r"generated 2 reactions from 1 templates \(0 applications failed\) "
+            r"in \d+\.\d\d s, \d+\.\d records/s",
+            line,
+        ), line
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == "C=C.Cl>>CCCl\nC=CC.Cl>>CC(C)Cl\n"
+
     def test_skipped_substrate_is_logged_with_its_file_line(self, tmp_path, caplog):
         templates = tmp_path / "templates.txt"
         templates.write_text("hydrochlorination | [C:1]=[C:2] | Cl | | [C:1][C:2]Cl\n")

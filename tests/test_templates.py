@@ -2,10 +2,19 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from rxnseq.molgraph import canonical_from_string, canonical_smiles, parse_string
+import rxnseq
+from rxnseq import templates as templates_module
+from rxnseq.molgraph import (
+    GraphError,
+    ValenceError,
+    canonical_from_string,
+    canonical_smiles,
+    parse_string,
+)
 from rxnseq.templates import (
     PatternSyntaxError,
     SubstrateFilter,
@@ -17,6 +26,7 @@ from rxnseq.templates import (
     enumerate_substrates,
     generate_dataset,
     load_templates,
+    load_templates_file,
     match_pattern,
     parse_pattern,
     _atom_compatible,
@@ -162,12 +172,16 @@ MOLECULE_POOL = [
     "N", "O", "CN", "CO", "C=O", "C1CC1O", "CC1CC1", "OC1CCC1",
 ]
 
+# Needs two chlorines: the element precheck rejects CCCl, and ClC(Cl)C matches.
+TWO_CHLORINES = "[Cl:1][C:2][Cl:3]"
+
 PATTERN_POOL = [
     "[C:1]", "[O:1]", "[N:1]", "[C:1][C:2]", "[C:1]=[C:2]", "[C:1]#[C:2]",
     "[C:1][O:2]", "[C:1]=[O:2]", "[C:1][C:2][C:3]", "[C:1][C:2][O:3]",
     "[C:1]([C:2])[C:3]", "[OH1;D1:1]", "[CH3;D1:1]", "[C;D2:1]",
     "[C:1](=[O:2])[O:3]", "[c:1][c:2]", "[C:1][Cl:2]", "[CH2:1]",
     "[C;D1:1][C;D2:2]", "C[C:1]", "[C:1]1[C:2][C:3]1",
+    TWO_CHLORINES,
 ]
 
 
@@ -181,6 +195,30 @@ def test_match_pattern_equals_brute_force_on_random_pairs():
             continue
         assert match_pattern(pattern, g) == brute_force_match(pattern, g)
         checked += 1
+    pattern = parse_pattern(TWO_CHLORINES)
+    for text in ("CCCl", "ClC(Cl)C"):
+        g = parse_string(text)
+        assert match_pattern(pattern, g) == brute_force_match(pattern, g), text
+
+
+def test_precheck_searches_nothing(monkeypatch):
+    calls = []
+    compatible = templates_module._atom_compatible
+
+    def counting(*args):
+        calls.append(args)
+        return compatible(*args)
+
+    monkeypatch.setattr(templates_module, "_atom_compatible", counting)
+    # one chlorine too few; no double bond
+    assert match_pattern(parse_pattern(TWO_CHLORINES), parse_string("CC(C)CCl")) == []
+    assert match_pattern(parse_pattern("[C:1]=[C:2]"), parse_string("CC(C)CCl")) == []
+    assert calls == []
+    assert match_pattern(parse_pattern(TWO_CHLORINES), parse_string("ClC(Cl)C")) == [
+        {1: 0, 2: 1, 3: 2},
+        {1: 2, 2: 1, 3: 0},
+    ]
+    assert calls
 
 
 def test_apply_hydrochlorination_markovnikov():
@@ -307,3 +345,33 @@ def test_generated_records_are_normalized():
     (record,) = records
     for part in (record.reactants, record.reagents, record.products):
         assert list(part) == sorted(canonical_from_string(s) for s in part)
+
+
+DATA = Path(rxnseq.__file__).parent / "data"
+
+
+def test_generate_dataset_agrees_with_apply_template():
+    # generate_dataset reuses each substrate's canonical form from the
+    # filter; apply_template computes it again.  The overfilling template
+    # makes a failure row on every alkene.
+    shipped = load_templates_file(DATA / "templates.txt")
+    shipped += load_templates(["overfill | [C:1]=[C:2] | | | [C:1](Cl)(Cl)(Cl)(Cl)[C:2]"])
+    substrates = (DATA / "substrates.smi").read_text(encoding="utf-8").splitlines()
+    f = default_substrate_filter()
+    graphs, _ = enumerate_substrates(substrates, f)
+    expected: dict[str, object] = {}
+    expected_failures = []
+    for t in shipped:
+        for g in graphs:
+            try:
+                produced = apply_template(t, g)
+            except (GraphError, ValenceError) as exc:
+                expected_failures.append((t.name, canonical_smiles(g), str(exc)))
+                continue
+            for record in produced:
+                expected.setdefault(record.smiles(), record)
+    records, failures = generate_dataset(shipped, substrates, f)
+    assert records == [expected[key] for key in sorted(expected)]
+    assert len(records) == 291
+    assert failures == expected_failures
+    assert failures and all(name == "overfill" for name, _, _ in failures)
