@@ -318,31 +318,21 @@ def _atom_compatible(g: MolGraph, gi: int, pa: PatternAtom) -> bool:
     return True
 
 
-def _fewer(have: list, need: list) -> bool:
-    """Whether ``have`` holds fewer copies than ``need`` of some item."""
-    return any(have.count(x) < need.count(x) for x in set(need))
-
-
 def _embeddings(pattern: PatternGraph, g: MolGraph):
     """Yield every injective assignment {pattern index -> atom index}.
 
     Molecule bonds not mentioned by the pattern are allowed (subgraph
     monomorphism, as in substructure search).  A precheck comes first: an
-    embedding maps pattern atoms and bonds one-to-one onto molecule atoms
-    and bonds of the same element and bond class, so when ``g`` has fewer
-    atoms of some element, or fewer bonds of some class, than the pattern
+    embedding maps pattern atoms one-to-one onto molecule atoms of the same
+    element, so when ``g`` has fewer atoms of some element than the pattern
     names, none exists and none is searched for.
     """
     n = len(pattern.atoms)
     if n == 0:
         return
-    if _fewer(
-        [a.element for a in g.atoms],
-        [a.element for a in pattern.atoms if a.element is not None],
-    ) or _fewer(
-        [BOND_CLASS[order] for _, _, order in g.bonds()],
-        [BOND_CLASS[order] for _, _, order in pattern.bonds()],
-    ):
+    need = [a.element for a in pattern.atoms if a.element is not None]
+    have = [a.element for a in g.atoms]
+    if any(have.count(e) < need.count(e) for e in set(need)):
         return
 
     # search order: breadth-first from atom 0 so each later atom has an
@@ -502,21 +492,9 @@ def apply_template(
     """Apply a template to one substrate molecule.
 
     Returns an empty list when the pattern does not match, otherwise a
-    single record for the selected product.
-    """
-    products = _select_products(template, substrate)
-    if products is None:
-        return []
-    return [_record(template, canonical_smiles(substrate), products)]
-
-
-def _select_products(
-    template: ReactionTemplate, substrate: MolGraph
-) -> tuple[str, ...] | None:
-    """The products the rule picks (module docstring), or None on no match.
-
-    Every embedding's edit is scored first; only the best-scoring products
-    are canonicalized, since the rule picks among them alone.
+    single record for the selected product.  Every embedding's edit is
+    scored first; only the best-scoring products are canonicalized, since
+    the rule (module docstring) picks among them alone.
     """
     best_score = -2  # below every score
     best: list[tuple[MolGraph, list[int]]] = []
@@ -528,27 +506,25 @@ def _select_products(
         if score == best_score:
             best.append((work, kept))
     if not best:
-        return None
-    return min(tuple(canonical_smiles(work.subgraph(kept)).split(".")) for work, kept in best)
+        return []
+    products = min(
+        tuple(canonical_smiles(work.subgraph(kept)).split(".")) for work, kept in best
+    )
+    reactants = _parts(canonical_smiles(substrate)) + [
+        p for smiles in template.coreactants for p in _parts(canonical_from_string(smiles))
+    ]
+    reagents = [p for smiles in template.reagents for p in _parts(canonical_from_string(smiles))]
+    return [
+        ReactionRecord(
+            reactants=tuple(sorted(reactants)),
+            reagents=tuple(sorted(reagents)),
+            products=products,
+        )
+    ]
 
 
 def _parts(canonical: str) -> list[str]:
     return canonical.split(".") if canonical else []
-
-
-def _record(
-    template: ReactionTemplate, substrate: str, products: tuple[str, ...]
-) -> ReactionRecord:
-    """The record of ``template`` applied to the canonical ``substrate``."""
-    reactants = _parts(substrate) + [
-        p for smiles in template.coreactants for p in _parts(canonical_from_string(smiles))
-    ]
-    reagents = [p for smiles in template.reagents for p in _parts(canonical_from_string(smiles))]
-    return ReactionRecord(
-        reactants=tuple(sorted(reactants)),
-        reagents=tuple(sorted(reagents)),
-        products=products,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +610,7 @@ def enumerate_substrates(
     Returns (accepted graphs, skipped (line number, text, reason) rows);
     invalid lines are skipped, never fatal.
     """
-    accepted, skipped = _eligible_substrates(raw, f)
-    return [g for g, _ in accepted], skipped
-
-
-def _eligible_substrates(
-    raw: list[str], f: SubstrateFilter
-) -> tuple[list[tuple[MolGraph, str]], list[tuple[int, str, str]]]:
-    """:func:`enumerate_substrates`, each graph with its canonical SMILES."""
-    accepted: list[tuple[MolGraph, str]] = []
+    accepted: list[MolGraph] = []
     skipped: list[tuple[int, str, str]] = []
     seen: set[str] = set()
     for line_number, line in enumerate(raw, start=1):
@@ -691,7 +659,7 @@ def _eligible_substrates(
             if key in seen:
                 continue
             seen.add(key)
-            accepted.append((variant, key))
+            accepted.append(variant)
     return accepted, skipped
 
 
@@ -707,23 +675,20 @@ def generate_dataset(
     """
     if f is None:
         f = default_substrate_filter()
-    eligible, skipped = _eligible_substrates(substrates, f)
+    graphs, skipped = enumerate_substrates(substrates, f)
     for line_number, text, reason in skipped:
         logger.info("substrate skipped (line %d, %s): %s", line_number, text, reason)
 
     records: dict[str, ReactionRecord] = {}
     failures: list[tuple[str, str, str]] = []
     for template in templates:
-        for g, key in eligible:
-            # apply_template, with the substrate's canonical form from above
+        for g in graphs:
             try:
-                products = _select_products(template, g)
-                if products is None:
-                    continue
-                record = _record(template, key, products)
+                produced = apply_template(template, g)
             except (GraphError, ValenceError) as exc:
-                failures.append((template.name, key, str(exc)))
+                failures.append((template.name, canonical_smiles(g), str(exc)))
                 continue
-            records.setdefault(record.smiles(), record)
+            for record in produced:
+                records.setdefault(record.smiles(), record)
     ordered = [records[key] for key in sorted(records)]
     return ordered, failures

@@ -2,19 +2,11 @@
 
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
-import rxnseq
 from rxnseq import templates as templates_module
-from rxnseq.molgraph import (
-    GraphError,
-    ValenceError,
-    canonical_from_string,
-    canonical_smiles,
-    parse_string,
-)
+from rxnseq.molgraph import canonical_from_string, canonical_smiles, parse_string
 from rxnseq.templates import (
     PatternSyntaxError,
     SubstrateFilter,
@@ -26,7 +18,6 @@ from rxnseq.templates import (
     enumerate_substrates,
     generate_dataset,
     load_templates,
-    load_templates_file,
     match_pattern,
     parse_pattern,
     _atom_compatible,
@@ -210,9 +201,8 @@ def test_precheck_searches_nothing(monkeypatch):
         return compatible(*args)
 
     monkeypatch.setattr(templates_module, "_atom_compatible", counting)
-    # one chlorine too few; no double bond
+    # one chlorine too few
     assert match_pattern(parse_pattern(TWO_CHLORINES), parse_string("CC(C)CCl")) == []
-    assert match_pattern(parse_pattern("[C:1]=[C:2]"), parse_string("CC(C)CCl")) == []
     assert calls == []
     assert match_pattern(parse_pattern(TWO_CHLORINES), parse_string("ClC(Cl)C")) == [
         {1: 0, 2: 1, 3: 2},
@@ -346,32 +336,3 @@ def test_generated_records_are_normalized():
     for part in (record.reactants, record.reagents, record.products):
         assert list(part) == sorted(canonical_from_string(s) for s in part)
 
-
-DATA = Path(rxnseq.__file__).parent / "data"
-
-
-def test_generate_dataset_agrees_with_apply_template():
-    # generate_dataset reuses each substrate's canonical form from the
-    # filter; apply_template computes it again.  The overfilling template
-    # makes a failure row on every alkene.
-    shipped = load_templates_file(DATA / "templates.txt")
-    shipped += load_templates(["overfill | [C:1]=[C:2] | | | [C:1](Cl)(Cl)(Cl)(Cl)[C:2]"])
-    substrates = (DATA / "substrates.smi").read_text(encoding="utf-8").splitlines()
-    f = default_substrate_filter()
-    graphs, _ = enumerate_substrates(substrates, f)
-    expected: dict[str, object] = {}
-    expected_failures = []
-    for t in shipped:
-        for g in graphs:
-            try:
-                produced = apply_template(t, g)
-            except (GraphError, ValenceError) as exc:
-                expected_failures.append((t.name, canonical_smiles(g), str(exc)))
-                continue
-            for record in produced:
-                expected.setdefault(record.smiles(), record)
-    records, failures = generate_dataset(shipped, substrates, f)
-    assert records == [expected[key] for key in sorted(expected)]
-    assert len(records) == 291
-    assert failures == expected_failures
-    assert failures and all(name == "overfill" for name, _, _ in failures)
