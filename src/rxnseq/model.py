@@ -47,8 +47,6 @@ from .pipeline import (
 )
 
 INIT_SCALE = 0.08
-# fit never halves the learning rate below this
-MIN_LEARNING_RATE = 1e-3
 
 
 class ModelError(Exception):
@@ -647,10 +645,10 @@ def clip_gradients(grad: ModelParams, max_norm: float) -> float:
     return norm
 
 
-def train_step(model: Model, enc_ids, dec_ids, learning_rate: float | None = None) -> float:
-    """One SGD update with global-norm clipping; returns the pre-update loss."""
+def train_step(model: Model, enc_ids, dec_ids) -> float:
+    """One SGD update at the config's rate with global-norm clipping; returns
+    the pre-update loss."""
     config = model.config
-    lr = config.learning_rate if learning_rate is None else learning_rate
     loss, grad = loss_and_grads(model, enc_ids, dec_ids)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss}")
@@ -658,14 +656,13 @@ def train_step(model: Model, enc_ids, dec_ids, learning_rate: float | None = Non
     if not np.isfinite(norm):
         raise NonFiniteLoss(f"gradient norm is {norm} at loss {loss}")
     for (_, p), (_, g) in zip(model.params.named(), grad.named()):
-        p -= lr * g
+        p -= config.learning_rate * g
     return loss
 
 
 @dataclass
 class TrainLog:
     losses: list[float] = field(default_factory=list)
-    learning_rates: list[float] = field(default_factory=list)
 
     @property
     def steps(self) -> int:
@@ -678,31 +675,22 @@ def fit(
     steps: int,
     batch_size: int,
     seed: int,
-    plateau_window: int = 40,
 ) -> TrainLog:
-    """Plain SGD over bucketed batches; halves the rate when loss plateaus.
+    """Plain SGD at the config's learning rate over bucketed batches, epoch
+    after epoch of `batch_iter`, for `steps` updates.
 
     Deterministic for a fixed (model seed, data, steps, batch_size, seed).
     """
     if not examples:
         raise ValueError("no training examples")
     log = TrainLog()
-    lr = model.config.learning_rate
     for epoch in itertools.count():
         if log.steps >= steps:
             break
         for batch in batch_iter(examples, batch_size, seed, epoch):
             if log.steps >= steps:
                 break
-            loss = train_step(model, batch.encoder, batch.decoder, lr)
-            log.losses.append(loss)
-            log.learning_rates.append(lr)
-            w = plateau_window
-            if log.steps >= 2 * w and log.steps % w == 0:
-                recent = float(np.mean(log.losses[-w:]))
-                previous = float(np.mean(log.losses[-2 * w : -w]))
-                if recent > previous * 0.999:
-                    lr = max(lr * 0.5, MIN_LEARNING_RATE)
+            log.losses.append(train_step(model, batch.encoder, batch.decoder))
     return log
 
 

@@ -241,7 +241,7 @@ def test_small_training_run_memorizes_fifty_generated_reactions():
     assert abs(batch_loss(model, enc, dec) - flat_start) <= 0.1 * flat_start
 
     start = time.perf_counter()
-    fit(model, examples, steps=500, batch_size=25, seed=11, plateau_window=500)
+    fit(model, examples, steps=500, batch_size=25, seed=11)
     assert time.perf_counter() - start < 600.0
     assert exact_hits(model, records, examples, output_vocab) >= 48  # 95% of 50
 
@@ -317,7 +317,7 @@ def test_family_model_generalizes_to_ring_homologs(tmp_path):
         seed=3,
     )
     model = init_model(config)
-    fit(model, examples, steps=2500, batch_size=64, seed=11, plateau_window=2500)
+    fit(model, examples, steps=2500, batch_size=64, seed=11)
 
     report = evaluate(model, holdout_records, input_vocab, output_vocab)
     write_report(report, tmp_path / "holdout_report")

@@ -435,6 +435,23 @@ class TestTrain:
         assert main(argv) == 0
         assert all((tmp_path / name).read_bytes() != old[name] for name in names)
 
+    # numpy warns about the overflow on its way to the NaN gradient
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_training_fails_and_keeps_every_old_file(self, tmp_path, capsys):
+        data = tmp_path / "train.rsmi"
+        data.write_text("C=C.Cl>>CCCl\nC=C.Br>>CCBr\n")
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "model.rxs2")]
+        argv += TRAIN_FLAGS + ["--steps", "5"]
+        assert main(argv) == 0
+        names = ("model.rxs2", "model.rxs2.input-vocab", "model.rxs2.output-vocab")
+        old = {name: (tmp_path / name).read_bytes() for name in names}
+        capsys.readouterr()
+        assert main(argv + ["--lr", "1e30"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged: gradient norm is nan "), err
+        assert {name: (tmp_path / name).read_bytes() for name in names} == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(("train.rsmi", *names))
+
     def test_options_are_pinned(self):
         sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
         options = [(a.option_strings, a.dest) for a in sub.choices["train"]._actions]

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import struct
 import tracemalloc
@@ -41,6 +42,7 @@ from rxnseq.pipeline import (
     PAD_ID,
     BucketSpec,
     Vocab,
+    batch_iter,
     build_vocabs,
     encode_example,
     normalize,
@@ -383,9 +385,9 @@ class TestLoss:
             batch_loss(built, enc, dec)
 
     def test_loss_strictly_decreases_on_repeated_batch(self):
-        built = init_model(tiny_config(seed=13))
+        built = init_model(tiny_config(seed=13, learning_rate=1.0))
         enc, dec = tiny_batch()
-        losses = [train_step(built, enc, dec, learning_rate=1.0) for _ in range(50)]
+        losses = [train_step(built, enc, dec) for _ in range(50)]
         assert all(b < a for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 0.6 * losses[0]
 
@@ -593,6 +595,32 @@ class TestTraining:
         a = build_overfit_single()[4].losses
         b = overfit_single()[4].losses
         assert a == b
+
+    def test_fit_is_train_step_over_batch_iter_epochs_bit_for_bit(self):
+        # A small rate keeps the loss almost flat, so any rule reacting to
+        # loss noise would change the rate partway through.
+        records = [
+            normalize(parse_record(line))
+            for line in ("CC=C(C)C.Cl>>CCC(C)(C)Cl", "C=C.Br>>CCBr", "C1=CCCCC1.Br>>BrC1CCCCC1")
+        ]
+        input_vocab, output_vocab = build_vocabs(records)
+        buckets = BucketSpec(((16, 16),))
+        examples = [encode_example(r, input_vocab, output_vocab, buckets) for r in records]
+        config = tiny_config(
+            input_vocab_size=len(input_vocab),
+            output_vocab_size=len(output_vocab),
+            buckets=buckets,
+            learning_rate=1e-4,
+        )
+        fitted, looped = init_model(config), init_model(config)
+        steps, batch_size, seed = 160, 2, 4
+        log = fit(fitted, examples, steps=steps, batch_size=batch_size, seed=seed)
+        epochs = (batch_iter(examples, batch_size, seed, epoch) for epoch in itertools.count())
+        batches = itertools.islice(itertools.chain.from_iterable(epochs), steps)
+        losses = [train_step(looped, b.encoder, b.decoder) for b in batches]
+        assert log.losses == losses
+        for (name, a), (_, b) in zip(fitted.params.named(), looped.params.named()):
+            assert a.tobytes() == b.tobytes(), name
 
 
 # One layer a side and two units, so every byte of its 1378-byte file can be
