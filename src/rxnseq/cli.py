@@ -4,7 +4,8 @@ Exposes the pipeline end-to-end: tokenize, canon, fingerprint, gen,
 ingest, split, train, predict, eval, export-attention, export-embeddings.
 Diagnostics go to standard error; data goes to files or standard output.
 Exit status is 0 on success, 1 on input errors (an output path that cannot
-be written included), 2 on internal errors.
+be written included), 2 on internal errors.  Each handler imports the
+modules it needs, so a command such as ``tokenize`` starts without numpy.
 """
 
 from __future__ import annotations
@@ -28,45 +29,6 @@ class UsageError(Exception):
 
 class InputError(Exception):
     pass
-
-
-# The pools numpy's BLAS reads its size from, once, when numpy is imported.
-_BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _apply_thread_cap() -> None:
-    """Honor RXNSEQ_THREADS by capping the numeric libraries' thread pools.
-
-    Must run before anything imports numpy, which is why the subcommand
-    handlers import the heavy modules lazily.  When numpy is already loaded
-    (rxnseq called from a Python program) the pools are sized, so a cap
-    that differs from what they were sized by is logged as ignored.
-    """
-    value = os.environ.get("RXNSEQ_THREADS")
-    if value is None:
-        return
-    try:
-        threads = int(value)
-        if threads < 1:
-            raise ValueError
-    except ValueError:
-        raise InputError(
-            f"RXNSEQ_THREADS must be a positive integer, got {value!r}"
-        ) from None
-    if "numpy" in sys.modules:
-        unmet = [
-            f"{name}={os.environ.get(name, '<unset>')}"
-            for name in _BLAS_THREAD_VARIABLES
-            if os.environ.get(name) != str(threads)
-        ]
-        if unmet:
-            logger.warning(
-                "RXNSEQ_THREADS=%d is ignored: numpy was imported with %s",
-                threads,
-                ", ".join(unmet),
-            )
-    for name in (*_BLAS_THREAD_VARIABLES, "NUMEXPR_NUM_THREADS"):
-        os.environ[name] = str(threads)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -388,6 +350,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
+    import numpy as np
+
     from .model import ModelConfig, NonFiniteLoss, checkpoint_bytes, fit, init_model
     from .pipeline import (
         DEFAULT_BUCKETS,
@@ -433,13 +397,16 @@ def cmd_train(args) -> int:
     model = init_model(config)
     began = time.perf_counter()
     try:
-        log = fit(
-            model,
-            examples,
-            steps=cfg["steps"],
-            batch_size=cfg["batch_size"],
-            seed=config.seed,
-        )
+        # fit raises NonFiniteLoss on a diverged step; the overflows on the way
+        # there would only print numpy's warnings before that error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            log = fit(
+                model,
+                examples,
+                steps=cfg["steps"],
+                batch_size=cfg["batch_size"],
+                seed=config.seed,
+            )
     except NonFiniteLoss as exc:
         raise InputError(f"training diverged: {exc}") from exc
     seconds = time.perf_counter() - began
@@ -638,7 +605,6 @@ def main(argv=None) -> int:
     )
     parser = build_parser()
     try:
-        _apply_thread_cap()
         args = parser.parse_args(argv)
         return args.handler(args)
     except UsageError as exc:

@@ -35,6 +35,7 @@ from .molgraph import (
     tanimoto,
 )
 from .pipeline import (
+    SPECIAL_TOKENS,
     ReactionRecord,
     Vocab,
     encode_example,
@@ -208,22 +209,25 @@ _COLUMNS = tuple(
 )
 
 
+def _csv_bytes(header, rows) -> bytes:
+    """``header``, then ``rows``, in the csv module's default dialect, as UTF-8."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
 def write_report(report: EvalReport, stem: str | Path) -> None:
     """Write ``stem.csv``, one row per record under ExampleRow's field names,
     and ``stem.json``, the summary, as one set: a failed write leaves both
     old files in place."""
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(name for name, _ in _COLUMNS)
-    for row in report.rows:
-        writer.writerow(cell(getattr(row, name)) for name, cell in _COLUMNS)
-    summary = json.dumps(report.summary(), indent=2, sort_keys=True) + "\n"
-    write_all_atomic(
-        {
-            f"{stem}.csv": buffer.getvalue().encode("utf-8"),
-            f"{stem}.json": summary.encode("utf-8"),
-        }
+    table = _csv_bytes(
+        [name for name, _ in _COLUMNS],
+        ([cell(getattr(row, name)) for name, cell in _COLUMNS] for row in report.rows),
     )
+    summary = json.dumps(report.summary(), indent=2, sort_keys=True) + "\n"
+    write_all_atomic({f"{stem}.csv": table, f"{stem}.json": summary.encode("utf-8")})
 
 
 def export_attention(
@@ -241,20 +245,19 @@ def export_attention(
     encoder_ids = encode_source(source, input_vocab, model.config.buckets)
     (decoded,) = predict_with_attention(model, [encoder_ids])
     encoder_tokens = [input_vocab.token_of(i) for i in encoder_ids]
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(
+    header = (
         ["token"]
         + [f"score:{t}" for t in encoder_tokens]
         + [f"weight:{t}" for t in encoder_tokens]
     )
-    for token_id, scores, weights in zip(decoded.ids, decoded.scores, decoded.weights):
-        writer.writerow(
-            [output_vocab.token_of(token_id)]
-            + [_fmt(v) for v in scores]
-            + [_fmt(v) for v in weights]
-        )
-    write_atomic(path, buffer.getvalue().encode("utf-8"))
+    steps = zip(decoded.ids, decoded.scores, decoded.weights)
+    rows = (
+        [output_vocab.token_of(token_id)]
+        + [_fmt(v) for v in scores]
+        + [_fmt(v) for v in weights]
+        for token_id, scores, weights in steps
+    )
+    write_atomic(path, _csv_bytes(header, rows))
 
 
 def export_embeddings(
@@ -278,16 +281,14 @@ def export_embeddings(
         (output_vocab, model.params.dec_embed, decoder_path),
     ]
     files = {}
+    # Regular ids follow the special tokens' and are frequency-ordered.
+    first = len(SPECIAL_TOKENS)
     for vocab, table, path in sides:
-        k = min(top_k, len(vocab) - 4)
-        buffer = io.StringIO(newline="")
-        writer = csv.writer(buffer)
-        dim = table.shape[1]
-        writer.writerow(["token", "rank"] + [f"e{i}" for i in range(dim)])
-        for rank in range(1, k + 1):
-            token_id = rank + 3  # ids 4.. are frequency-ordered
-            writer.writerow(
-                [vocab.token_of(token_id), rank] + [_fmt(v) for v in table[token_id]]
-            )
-        files[path] = buffer.getvalue().encode("utf-8")
+        k = min(top_k, len(vocab) - first)
+        header = ["token", "rank"] + [f"e{i}" for i in range(table.shape[1])]
+        rows = (
+            [vocab.token_of(token_id), rank] + [_fmt(v) for v in table[token_id]]
+            for rank, token_id in enumerate(range(first, first + k), start=1)
+        )
+        files[path] = _csv_bytes(header, rows)
     write_all_atomic(files)

@@ -162,10 +162,7 @@ def ingest_lines(lines: Iterable[str]) -> tuple[list[ReactionRecord], RejectRepo
     """
     records: list[ReactionRecord] = []
     report = RejectReport()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in numbered_lines(lines):
         try:
             mapped = parse_record(line)
             record = ReactionRecord(
@@ -482,14 +479,20 @@ def write_reactions(records: Iterable[ReactionRecord], path: str | Path) -> None
     write_atomic(path, reactions_bytes(records))
 
 
+def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Each stripped line with its line number, counted from 1 over every
+    line; blank lines and whole-line ``#`` comments are skipped ('#' is a
+    triple bond in SMILES and patterns, so a '#' later in a line is data)."""
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield number, line
+
+
 def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Each stripped line of a data file with its line number, counted from 1
-    over every line of the file; blank and ``#`` lines are skipped."""
+    """The numbered_lines of a data file."""
     with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield number, line
+        yield from numbered_lines(handle)
 
 
 def numbered_reactions(path: str | Path) -> Iterator[tuple[int, ReactionRecord]]:

@@ -38,7 +38,7 @@ from .molgraph import (
     effective_hcount,
     parse_string,
 )
-from .pipeline import ReactionRecord
+from .pipeline import ReactionRecord, numbered_lines
 from .smiles import Token, TokenizeError, TokenKind, _assemble, _lex, _parse_charge
 
 __all__ = [
@@ -216,16 +216,12 @@ class ReactionTemplate:
 def load_templates(lines) -> list[ReactionTemplate]:
     """Load templates from an iterable of DSL lines (or an open file).
 
-    Blank lines and ``#`` comments are skipped.  Coreactant and reagent
-    fields hold ``;``-separated SMILES and may be empty.
+    Lines are numbered and skipped as numbered_lines does.  Coreactant and
+    reagent fields hold ``;``-separated SMILES and may be empty.
     """
     templates: list[ReactionTemplate] = []
     names: set[str] = set()
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        # '#' is a triple bond inside patterns, so only whole-line comments
-        if not line or line.startswith("#"):
-            continue
+    for line_number, line in numbered_lines(lines):
         fields = [f.strip() for f in line.split("|")]
         if len(fields) != 5:
             raise TemplateSyntaxError(
@@ -613,11 +609,7 @@ def enumerate_substrates(
     accepted: list[MolGraph] = []
     skipped: list[tuple[int, str, str]] = []
     seen: set[str] = set()
-    for line_number, line in enumerate(raw, start=1):
-        text = line.strip()
-        # '#' is a triple bond in SMILES, so only whole-line comments
-        if not text or text.startswith("#"):
-            continue
+    for line_number, text in numbered_lines(raw):
         try:
             g = parse_string(text)
         except (ValueError, GraphError) as exc:

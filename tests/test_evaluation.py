@@ -597,7 +597,6 @@ class TestOnePath:
         lines.insert(middle, "C=C.Br>CCBr")
         data = tmp_path / "data.rsmi"
         data.write_text("".join(line + "\n" for line in lines))
-        monkeypatch.delenv("RXNSEQ_THREADS", raising=False)  # no thread-cap warning
         caplog.set_level(logging.WARNING, logger="rxnseq")
         assert main(["predict", "--checkpoint", str(checkpoint), "--data", str(data)]) == 0
         fault = "expected exactly two '>' separators, found 1"
