@@ -288,7 +288,10 @@ def strip_atom_maps(molecule: str) -> str:
 
 
 def _order_sum(g: MolGraph, i: int) -> int:
-    return sum(BOND_VALENCE[order] for order in g._adj[i].values())
+    total = 0
+    for order in g._adj[i].values():
+        total += BOND_VALENCE[order]
+    return total
 
 
 def effective_hcount(g: MolGraph, i: int) -> int:

@@ -20,8 +20,6 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import smiles
 from .molgraph import _CANON_CACHE_SIZE, GraphError, canonical_from_string, strip_atom_maps
 
@@ -405,6 +403,8 @@ def batch_iter(
     shuffle depends on (seed, epoch) only, so replaying an epoch reproduces
     the exact batch stream.
     """
+    import numpy as np  # here alone, so commands that never batch skip its import
+
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     by_shape: dict[tuple[int, int], list[EncodedExample]] = {}

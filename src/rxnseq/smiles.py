@@ -17,6 +17,11 @@ patterns alike.  It never raises: it returns positioned
 of crashing on it.  A bond written without a symbol is aromatic (``:``)
 between two aromatic atoms and single (``-``) otherwise, so every bond it
 returns carries an explicit symbol.
+
+Tokens and bonds are immutable tuples.  Every fixed-text token (a bare
+atom, bond, branch, ring digit, dot or ``>``) is one shared
+:class:`Token`; only bracket atoms and ``%NN`` ring closures are built per
+occurrence.  Ring-closure and bracket digits are ASCII ``0``-``9`` only.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 __all__ = [
     "AROMATIC_SUBSET",
@@ -115,11 +121,12 @@ _BRACKET_RE = re.compile(
     r"(?P<chirality>@@|@(?:TH|AL|SP|TB|OH)\d{1,2}|@)?"
     r"(?P<hcount>H\d*)?"
     r"(?P<charge>[+-]\d{1,2}|\+{1,3}|-{1,3})?"
-    r"(?::\d+)?\]\Z"  # an atom map is accepted and dropped
+    r"(?::\d+)?\]\Z",  # an atom map is accepted and dropped
+    re.ASCII,
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     """One heavy (or explicitly written) atom.
 
@@ -135,9 +142,15 @@ class Atom:
     isotope: int | None = None
     chirality: str | None = None
 
+    def __copy__(self) -> Atom:
+        # the constructor: copy's generic path rebuilds a slotted object
+        # one attribute at a time
+        return Atom(
+            self.element, self.aromatic, self.charge, self.hcount, self.isotope, self.chirality
+        )
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     # What the bracket reader made of a bracket atom: an Atom from
@@ -210,6 +223,23 @@ def format_bracket(atom: Atom, hcount: int) -> str:
     return "".join(parts)
 
 
+# The one shared token of each fixed text, keyed on that text.
+_FIXED_TOKENS = {
+    text: Token(kind, text)
+    for kind, texts in (
+        (TokenKind.ORGANIC_ATOM, ORGANIC_SUBSET),
+        (TokenKind.AROMATIC_ATOM, AROMATIC_SUBSET),
+        (TokenKind.BOND, tuple("-=#/\\:")),
+        (TokenKind.BRANCH_OPEN, ("(",)),
+        (TokenKind.BRANCH_CLOSE, (")",)),
+        (TokenKind.RING_CLOSURE, tuple("0123456789")),
+        (TokenKind.DOT, (".",)),
+        (TokenKind.SEPARATOR, (">",)),
+    )
+    for text in texts
+}
+
+
 def _lex(text: str, read_bracket: Callable[[str, int], object]) -> Iterator[Token]:
     """Yield the tokens of ``text`` in order; ``read_bracket(raw, position)``
     reads each bracket atom into its token's ``atom``.
@@ -217,50 +247,32 @@ def _lex(text: str, read_bracket: Callable[[str, int], object]) -> Iterator[Toke
     Tokens are yielded as they are lexed, so a caller that rejects one
     stops before the lexer reaches anything after it.
     """
+    fixed = _FIXED_TOKENS
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "[":
+        token = fixed.get(ch)
+        if token is not None:
+            if (ch == "C" or ch == "B") and text.startswith(("Cl", "Br"), i):
+                yield fixed[text[i : i + 2]]
+                i += 2
+            else:
+                yield token
+                i += 1
+        elif ch == "[":
             end = text.find("]", i)
             if end < 0:
                 raise UnterminatedBracket(i)
             raw = text[i : end + 1]
             yield Token(TokenKind.BRACKET_ATOM, raw, read_bracket(raw, i))
             i = end + 1
-        elif text.startswith(("Cl", "Br"), i):
-            yield Token(TokenKind.ORGANIC_ATOM, text[i : i + 2])
-            i += 2
-        elif ch in "BCNOPSFI":
-            yield Token(TokenKind.ORGANIC_ATOM, ch)
-            i += 1
-        elif ch in "bcnops":
-            yield Token(TokenKind.AROMATIC_ATOM, ch)
-            i += 1
-        elif ch in "-=#/\\:":
-            yield Token(TokenKind.BOND, ch)
-            i += 1
-        elif ch == "(":
-            yield Token(TokenKind.BRANCH_OPEN, ch)
-            i += 1
-        elif ch == ")":
-            yield Token(TokenKind.BRANCH_CLOSE, ch)
-            i += 1
-        elif ch.isdigit():
-            yield Token(TokenKind.RING_CLOSURE, ch)
-            i += 1
         elif ch == "%":
             digits = text[i + 1 : i + 3]
-            if len(digits) == 2 and digits.isdigit():
+            if len(digits) == 2 and digits.isascii() and digits.isdigit():
                 yield Token(TokenKind.RING_CLOSURE, text[i : i + 3])
                 i += 3
             else:
                 raise UnrecognizedCharacter(i, "'%' must start a two-digit ring closure")
-        elif ch == ".":
-            yield Token(TokenKind.DOT, ch)
-            i += 1
-        elif ch == ">":
-            yield Token(TokenKind.SEPARATOR, ch)
-            i += 1
         else:
             raise UnrecognizedCharacter(i, repr(ch))
 
@@ -297,8 +309,7 @@ class ValidationFailure:
     position: int  # first character of the token the failure is anchored to
 
 
-@dataclass(frozen=True)
-class TopologyBond:
+class TopologyBond(NamedTuple):
     """Bond between atom ordinals with its explicit symbol, e.g. ``:``."""
 
     a: int
@@ -325,7 +336,7 @@ def _assemble(tokens: TokenSequence) -> tuple[
     aromatic: list[bool] = []
     bonds: list[TopologyBond] = []
     found: list[tuple[ValidationKind, int]] = []  # (kind, token index)
-    edge_set: set[frozenset[int]] = set()
+    edge_set: set[tuple[int, int]] = set()  # (lower ordinal, higher)
     prev: int | None = None
     pending: tuple[str, int] | None = None  # (symbol, token index)
     stack: list[tuple[int | None, bool]] = []  # (anchor, saw_atom_since_open)
@@ -335,7 +346,7 @@ def _assemble(tokens: TokenSequence) -> tuple[
         found.append((kind, index))
 
     def add_bond(a: int, b: int, symbol: str | None, index: int) -> None:
-        key = frozenset((a, b))
+        key = (a, b) if a < b else (b, a)
         if key in edge_set:
             fail(ValidationKind.DUPLICATE_RING_BOND, index)
             return
@@ -431,6 +442,24 @@ def _assemble(tokens: TokenSequence) -> tuple[
     return atoms, bonds, [ValidationFailure(kind, offsets[i]) for kind, i in found]
 
 
+def _fill_row(ladder: tuple[int, ...], aromatic_slot: int) -> tuple[int, ...]:
+    """Hydrogen fill at each bond order sum that leaves a bare form."""
+    return tuple(
+        min(v for v in ladder if v >= need) - need
+        for need in range(aromatic_slot, ladder[-1] + 1)
+    )
+
+
+# The valence ladders as one lookup: _HYDROGEN_FILL[element][aromatic][s]
+# is the fill at bond order sum s.  A single-letter element is also listed
+# in lower case.
+_HYDROGEN_FILL = {
+    name: (_fill_row(ladder, 0), _fill_row(ladder, 1))
+    for element, ladder in VALENCES.items()
+    for name in ((element, element.lower()) if len(element) == 1 else (element,))
+}
+
+
 def bare_hydrogen_fill(
     element: str, aromatic: bool, bond_order_sum: int
 ) -> int | None:
@@ -439,10 +468,10 @@ def bare_hydrogen_fill(
     Returns None when the element has no valence ladder or the bond order
     sum exceeds the largest allowed valence (no bare form exists).
     """
-    ladder = VALENCES.get(element.capitalize() if len(element) == 1 else element)
-    if ladder is None:
+    fills = _HYDROGEN_FILL.get(element)
+    if fills is None:
         return None
-    need = bond_order_sum + (1 if aromatic else 0)
-    if need > ladder[-1]:
+    fills = fills[1 if aromatic else 0]
+    if bond_order_sum >= len(fills):
         return None
-    return min(v for v in ladder if v >= need) - need
+    return fills[bond_order_sum]

@@ -125,7 +125,8 @@ _PATTERN_BRACKET_RE = re.compile(
     r"(?P<hcount>H\d?)?"
     r"(?P<charge>[+-]\d|\+{1,2}|-{1,2})?"
     r"(?:;D(?P<dmin>\d+)(?:-(?P<dmax>\d+))?)?"
-    r"(?::(?P<map>\d+))?\]\Z"
+    r"(?::(?P<map>\d+))?\]\Z",
+    re.ASCII,
 )
 
 # Molecule tokens a pattern may not hold: components, reaction separators

@@ -82,6 +82,18 @@ class TestSmallCommands:
         assert main(["canon", "C1CC"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,position",
+        [("C\u00b2", 1), ("C\u0663CC\u0663", 1), ("[\u0663CH4]", 0)],
+        ids=["superscript", "ring-closure", "isotope"],
+    )
+    def test_canon_rejects_non_ascii_digits(self, capsys, text, position):
+        assert main(["canon", text]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized character" in err
+        assert f"at position {position}" in err
+        assert "internal error" not in err
+
     def test_fingerprint_prints_deterministic_bits(self, capsys):
         assert main(["fingerprint", "CCO"]) == 0
         first = capsys.readouterr().out
@@ -235,6 +247,20 @@ class TestIngestAndSplit:
         assert rows["source_too_long"] == "1"
         assert rows["too_many_products"] == "1"
         assert rows["parse_failures"] == "1"
+        assert rows["total"] == "4"
+
+    def test_ingest_skips_lines_with_non_ascii_digits(self, tmp_path):
+        data = tmp_path / "raw.rsmi"
+        data.write_text(
+            "C\u00b2>>CC\nC=C.Cl>>CCCl\nC\u0663CC\u0663>>CC\n[\u0663CH4]>>C\n",
+            encoding="utf-8",
+        )
+        out, report = tmp_path / "clean.rsmi", tmp_path / "rejects.tsv"
+        argv = ["ingest", "--data", str(data), "--out", str(out), "--report", str(report)]
+        assert main(argv) == 0
+        assert out.read_text() == "C=C.Cl>>CCCl\n"
+        rows = dict(line.split("\t") for line in report.read_text().splitlines())
+        assert rows["parse_failures"] == "3"
         assert rows["total"] == "4"
 
     def test_final_line_reports_wall_time_and_records_per_second(
@@ -1069,9 +1095,9 @@ def test_input_that_is_not_utf8_is_input_error(trained, tmp_path, capsys, comman
     assert "internal error" not in err
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    # Importing numpy takes about 0.1 s; a command that needs none skips it.
-    code = "import sys, rxnseq.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+def run_without_numpy(code):
+    """Run ``code`` in a fresh process, then check numpy was never imported."""
+    code += "; assert 'numpy' not in sys.modules, 'numpy loaded'"
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -1082,6 +1108,21 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # Importing numpy takes about 0.1 s; a command that needs none skips it.
+    run_without_numpy("import sys, rxnseq.cli")
+
+
+def test_canon_leaves_numpy_unloaded():
+    out = run_without_numpy(
+        "import sys; from rxnseq.cli import main; "
+        "assert main(['canon', 'CC']) == 0; "
+        "assert main(['canon', 'OCC.C>>CC=O']) == 0"
+    )
+    assert out == "CC\nC.CCO>>CC=O\n"
 
 
 def run_alone(argv):

@@ -1,23 +1,31 @@
 """Lexer, validation and atom-map stripping tests."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
+import rxnseq
 from rxnseq.smiles import (
+    VALENCES,
     Atom,
     MalformedReaction,
+    SmilesError,
     Token,
     TokenKind,
     UnrecognizedCharacter,
     UnterminatedBracket,
+    bare_hydrogen_fill,
     tokenize,
     ValidationKind,
     _assemble,
 )
-from rxnseq.molgraph import InvalidStructure, parse_string, strip_atom_maps
-from rxnseq.pipeline import ingest_lines, parse_record
-from rxnseq.templates import parse_pattern
+from rxnseq.molgraph import InvalidStructure, parse_graph, parse_string, strip_atom_maps
+from rxnseq.pipeline import data_lines, ingest_lines, parse_record
+from rxnseq.templates import PatternSyntaxError, parse_pattern
+
+DATA = Path(rxnseq.__file__).parent / "data"
 
 
 def texts(tokens):
@@ -257,3 +265,133 @@ def test_assemble_gives_every_bond_an_explicit_symbol(text, counts):
 def test_patterns_take_bond_orders_from_the_same_rule(text, counts):
     orders = [order.value for _, _, order in parse_pattern(text).bonds()]
     assert {s: orders.count(s) for s in set(orders)} == counts
+
+
+def shipped_molecule_texts():
+    """Every corpus line, every substrate, and every coreactant and reagent
+    of the shipped templates."""
+    for _, line in data_lines(DATA / "corpus_mixed_1k.rsmi"):
+        yield line
+    for _, line in data_lines(DATA / "substrates.smi"):
+        yield line
+    for _, line in data_lines(DATA / "templates.txt"):
+        for part in line.split("|")[2:4]:
+            yield from (m.strip() for m in part.split(";") if m.strip())
+
+
+def test_tokens_of_the_shipped_data_are_pinned():
+    # kind, text and bracket atom of every token, and every lexing error
+    digest = hashlib.sha256()
+    count = 0
+    for text in shipped_molecule_texts():
+        count += 1
+        try:
+            tokens = tokenize(text)
+        except SmilesError as exc:
+            digest.update(repr((type(exc).__name__, str(exc))).encode() + b"\n")
+            continue
+        for t in tokens:
+            digest.update(repr((t.kind.value, t.text, t.atom)).encode() + b"\n")
+        digest.update(b"\n")
+    assert count == 1118
+    assert digest.hexdigest() == (
+        "b004495253cc0c952010657446e1c8f4269063f31ef5dcfb0ca0390630855d66"
+    )
+
+
+# Every fixed-text token the lexer knows, in one string.
+FIXED_TEXTS = "ClBrBCNOPSFIbcnops-=#/\\:().>0123456789"
+
+
+def test_fixed_text_tokens_are_shared():
+    assert tokenize("CC")[0] is tokenize("C")[0]
+    first, again = tokenize(FIXED_TEXTS), tokenize(FIXED_TEXTS)
+    assert len(first) == 36
+    assert all(a is b for a, b in zip(first, again))
+    assert tokenize("C%10CC%10")[1] is not tokenize("C%10CC%10")[1]
+
+
+def test_tokens_and_bonds_refuse_assignment():
+    shared, bracket = tokenize("C[NH4+]")
+    for token in (shared, bracket):
+        with pytest.raises(AttributeError):
+            token.text = "N"
+        with pytest.raises(AttributeError):
+            token.atom = None
+    _, (bond,), _ = _assemble(tokenize("CC"))
+    with pytest.raises(AttributeError):
+        bond.symbol = "="
+    with pytest.raises(AttributeError):
+        bond.a = 5
+
+
+def test_bracket_tokens_never_share_an_atom():
+    first, _, second = tokenize("[NH4+].[NH4+]")
+    assert first == second
+    assert first.atom is not second.atom
+    assert tokenize("[NH4+]")[0].atom is not tokenize("[NH4+]")[0].atom
+    # nor does a graph share its atoms with the tokens it was parsed from
+    tokens = tokenize("[NH4+]")
+    assert parse_graph(tokens).atoms[0] is not tokens[0].atom
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("C\u00b2", 1),  # superscript two
+        ("C\u0663CC\u0663", 1),  # Arabic-Indic three as a ring closure
+        ("[\u0663CH4]", 0),  # ... as an isotope
+        ("[CH\u0663]", 0),  # ... as a hydrogen count
+        ("C%\u0661\u0662CC%12", 1),  # ... as a two-digit ring closure
+    ],
+    ids=["superscript", "ring-closure", "isotope", "hydrogen-count", "percent-ring-closure"],
+)
+def test_non_ascii_digits_are_unrecognized(text, position):
+    with pytest.raises(UnrecognizedCharacter) as err:
+        tokenize(text)
+    assert err.value.position == position
+
+
+def test_pattern_digits_are_ascii_only():
+    with pytest.raises(PatternSyntaxError) as err:
+        parse_pattern("[C:\u0661]=[C:2]")
+    assert err.value.position == 0
+
+
+def ladder_fill(element, aromatic, bond_order_sum):
+    """The valence-ladder rule written out: the lowest valence that holds
+    the bonds, and the aromatic slot, less what they use; None when none does."""
+    ladder = VALENCES.get(element.capitalize() if len(element) == 1 else element)
+    if ladder is None:
+        return None
+    need = bond_order_sum + (1 if aromatic else 0)
+    fits = [v for v in ladder if v >= need]
+    return min(fits) - need if fits else None
+
+
+@pytest.mark.parametrize(
+    "element", [*VALENCES, *(e.lower() for e in VALENCES if len(e) == 1)]
+)
+def test_hydrogen_fill_follows_the_valence_ladder(element):
+    for aromatic in (False, True):
+        for bond_order_sum in range(9):
+            assert bare_hydrogen_fill(element, aromatic, bond_order_sum) == ladder_fill(
+                element, aromatic, bond_order_sum
+            ), (element, aromatic, bond_order_sum)
+
+
+def test_hydrogen_fill_spot_values():
+    assert bare_hydrogen_fill("C", False, 0) == 4
+    assert bare_hydrogen_fill("c", True, 2) == 1
+    assert bare_hydrogen_fill("N", False, 4) == 1  # climbs to valence 5
+    assert bare_hydrogen_fill("S", True, 2) == 1  # aromatic slot: 3 of 4
+    assert bare_hydrogen_fill("C", False, 5) is None
+    assert bare_hydrogen_fill("Cl", True, 0) == 0
+    assert bare_hydrogen_fill("Cl", True, 1) is None
+
+
+@pytest.mark.parametrize("element", ["Se", "Xx", "cl", "br", "x", "*", ""])
+def test_hydrogen_fill_of_an_unknown_element_is_none(element):
+    for aromatic in (False, True):
+        for bond_order_sum in range(9):
+            assert bare_hydrogen_fill(element, aromatic, bond_order_sum) is None
