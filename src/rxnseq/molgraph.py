@@ -1,7 +1,10 @@
 """Molecular graphs: parsing, canonical emission, fingerprints.
 
 The canonicalizer uses iterative neighborhood refinement of atom
-invariants with tie-breaking by rank doubling.  When a tied class cannot
+invariants with tie-breaking by rank doubling.  A refinement round
+re-keys only the atoms next to a piece that split off in the last round,
+not counting each split's largest piece, and the ranks are those that
+re-sorting every atom each round gives.  When a tied class cannot
 be separated, its members are individualized one at a time and the
 lexicographically smallest rendering over the search tree wins, so the
 result is independent of input atom order.  The search prunes by
@@ -18,7 +21,12 @@ and an emitted atom text (a CF3's fluorines, a gem-dimethyl's methyls).
 Such a swap maps every leaf to one that renders the same string, so it
 prunes as a found one does, without the leaves that would find it.  The
 text is in the key because stereo markers are not ranked: ``C`` and
-``[C@H3]`` share a rank, but swapping them changes the rendering.
+``[C@H3]`` share a rank, but swapping them changes the rendering.  A leaf
+is not rendered when the map from the r-th ranked atom of the smallest
+rendering's first leaf to its own r-th ranked atom is an automorphism: it
+renders that string, and the map is the one the emission orders would
+give (``c1cc(C(F)(F)F)ccc1-c1ccc(C(F)(F)F)cc1`` takes 4 leaves and 1
+rendering).
 ``canonical_from_string`` remembers its most recent distinct inputs.
 Stereo markers are carried through emission but excluded from ranking,
 so two renderings of one molecule that differ only in stereo layout may
@@ -31,7 +39,8 @@ import copy
 import enum
 import functools
 import random
-from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 from dataclasses import dataclass
 
 from .smiles import (
@@ -89,7 +98,7 @@ class ValenceError(GraphError):
 
 
 class CanonicalizationError(GraphError):
-    """The tie-breaking search rendered more leaves than its budget allows.
+    """The tie-breaking search visited more leaves than its budget allows.
 
     Symmetry alone no longer exhausts it: automorphism pruning keeps
     tetra-tert-butylmethane (31104 automorphisms) to 12 leaves.  What
@@ -364,24 +373,85 @@ def _bond_keys(g: MolGraph) -> list[list[tuple[int, int]]]:
     ]
 
 
-def _refine(bonds: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
+def _refine(
+    bonds: list[list[tuple[int, int]]],
+    ranks: list[int],
+    moved: tuple[int, ...] | None = None,
+) -> list[int]:
     """Split ranks by sorted (bond class, neighbour rank) until stable.
 
-    An atom alone in its rank keeps the key ``(rank,)``: no other key
-    starts with that rank, so its neighbours cannot move it.
+    Rounds are synchronous: a round keys atoms by the labels it started
+    from and orders each cell's pieces by key.  An atom's label is its
+    cell's last position in rank order, so labels order atoms as ranks do
+    and every split comes out as re-sorting all atoms would make it.  A
+    round keys only the atoms next to a changed atom, plus one other atom
+    of their cell for the rest, which still share a key.  Every piece of a
+    split counts as changed but the largest (Hopcroft's rule; McKay &
+    Piperno 2014): giving it a new label moves every key that reads it by
+    one order-preserving map, which splits nothing.  The first round keys
+    the neighbours of ``moved``, or every atom when it is None; the caller
+    vouches that the other atoms of each cell share a key, as they do
+    around an atom just individualized from an equitable partition.
+    Returns dense ranks.
     """
-    while True:
-        size = Counter(ranks)
-        keys = [
-            (rank, tuple(sorted([offset + ranks[j] for offset, j in nbrs])))
-            if size[rank] > 1
-            else (rank,)
-            for rank, nbrs in zip(ranks, bonds)
-        ]
-        new_ranks = _dense_ranks(keys)
-        if new_ranks == ranks:
-            return ranks
-        ranks = new_ranks
+    last = {rank: position for position, rank in enumerate(sorted(ranks))}
+    label = [last[rank] for rank in ranks]
+    cells: dict[int, set[int]] = {}
+    for i, cell in enumerate(label):
+        if cell in cells:
+            cells[cell].add(i)
+        else:
+            cells[cell] = {i}
+    changed = range(len(ranks)) if moved is None else moved
+    while changed:
+        # only atoms next to a changed atom can change key
+        loud = {j for i in changed for _, j in bonds[i]}
+        hit: dict[int, list[int]] = {}
+        for j in loud:
+            cell = label[j]
+            if cell in hit:
+                hit[cell].append(j)
+            else:
+                hit[cell] = [j]
+        splits = []
+        for cell, atoms in hit.items():
+            members = cells[cell]
+            if len(members) > 1:
+                proxy = -1
+                if len(atoms) < len(members):
+                    # the cell's other atoms still share one key
+                    proxy = next(i for i in members if i not in loud)
+                    atoms.append(proxy)
+                keyed = sorted(
+                    [(tuple(sorted([offset + label[j] for offset, j in bonds[i]])), i)
+                     for i in atoms]
+                )
+                if keyed[0][0] != keyed[-1][0]:
+                    splits.append((cell, keyed, proxy))
+        changed = []
+        for cell, keyed, proxy in splits:
+            pieces = [{i for _, i in piece} for _, piece in groupby(keyed, itemgetter(0))]
+            if proxy >= 0:
+                # the proxy's piece is the cell less the other pieces
+                members = cells[cell]
+                for p, piece in enumerate(pieces):
+                    if proxy in piece:
+                        whole = p
+                    else:
+                        members.difference_update(piece)
+                pieces[whole] = members
+            # every piece but the largest counts as changed
+            largest = max(pieces, key=len)
+            end = cell
+            for piece in reversed(pieces):
+                cells[end] = piece
+                if end != cell:
+                    for i in piece:
+                        label[i] = end
+                if piece is not largest:
+                    changed += piece
+                end -= len(piece)
+    return _dense_ranks(label)
 
 
 def _initial_ranks(g: MolGraph) -> list[int]:
@@ -403,12 +473,10 @@ def _initial_ranks(g: MolGraph) -> list[int]:
 
 def _first_tied_class(ranks: list[int]) -> list[int] | None:
     """Atoms of the lowest rank shared by several atoms, in index order."""
-    classes: dict[int, list[int]] = {}
-    for i, r in enumerate(ranks):
-        classes.setdefault(r, []).append(i)
-    for r in sorted(classes):
-        if len(classes[r]) > 1:
-            return classes[r]
+    ordered = sorted(ranks)
+    for r, following in zip(ordered, ordered[1:]):
+        if r == following:
+            return [i for i, rank in enumerate(ranks) if rank == r]
     return None
 
 
@@ -439,11 +507,11 @@ class _SearchNode:
             x = parent[x]
         return x
 
-    def covered(self, atom: int, automorphisms: list[list[int]]) -> bool:
+    def covered(self, atom: int, automorphisms: list[dict[int, int]]) -> bool:
         """Whether ``atom`` lies in the orbit of a tried child."""
-        for sigma in automorphisms[self.seen:]:
-            if all(sigma[v] == v for v in self.fixed):
-                for i, j in enumerate(sigma):
+        for moves in automorphisms[self.seen:]:
+            if moves.keys().isdisjoint(self.fixed):
+                for i, j in moves.items():
                     a, b = self._find(i), self._find(j)
                     if a != b:
                         self.parent[a] = b
@@ -455,9 +523,9 @@ class _SearchNode:
 _EMISSION_BUDGET = 20000
 
 
-def _twin_swaps(g: MolGraph, ranks: list[int]) -> list[list[int]]:
+def _twin_swaps(g: MolGraph, ranks: list[int]) -> list[dict[int, int]]:
     """The swap of every pair of terminal atoms that share a neighbour, a
-    bond order, a rank and an emitted text, as permutations."""
+    bond order, a rank and an emitted text, as moves: atom -> image."""
     twins: dict[tuple, list[int]] = {}
     for i, nbrs in enumerate(g._adj):
         if len(nbrs) == 1:
@@ -467,10 +535,23 @@ def _twin_swaps(g: MolGraph, ranks: list[int]) -> list[list[int]]:
     for group in twins.values():
         for k, a in enumerate(group):
             for b in group[k + 1:]:
-                sigma = list(range(len(g.atoms)))
-                sigma[a], sigma[b] = b, a
-                swaps.append(sigma)
+                swaps.append({a: b, b: a})
     return swaps
+
+
+def _automorphism(g: MolGraph, sigma: list[int]) -> bool:
+    """Whether ``sigma`` maps every atom to an equal one and every bond to a
+    bond of the same order (as seen from each end)."""
+    atoms, adj = g.atoms, g._adj
+    for a, nbrs in enumerate(adj):
+        b = sigma[a]
+        if a != b and atoms[a] != atoms[b]:
+            return False
+        image = adj[b]
+        for j, order in nbrs.items():
+            if image.get(sigma[j]) is not order:
+                return False
+    return True
 
 
 def _canonical_component(g: MolGraph) -> str:
@@ -479,7 +560,11 @@ def _canonical_component(g: MolGraph) -> str:
     A node's children individualize each atom of its first tied class;
     children in the orbit of a tried sibling are skipped (module
     docstring).  The automorphisms are the terminal twins' swaps and those
-    that leaves repeating a rendering yield.
+    that leaves repeating a rendering yield.  A leaf is first matched
+    against the first leaf of the smallest rendering so far: when mapping
+    the atom ranked r-th there to the atom ranked r-th here, for every r,
+    is an automorphism, the leaf renders that string and the map is the
+    one the emission orders would give, so it is not rendered.
     """
     n = len(g.atoms)
     if n == 0:
@@ -488,7 +573,8 @@ def _canonical_component(g: MolGraph) -> str:
     ranks = _initial_ranks(g)
     budget = _EMISSION_BUDGET
     best: str | None = None
-    first_order: dict[str, list[int]] = {}  # rendering -> emission order of its first leaf
+    # rendering -> (ranks, emission order) of its first leaf
+    first_leaf: dict[str, tuple[list[int], list[int]]] = {}
     automorphisms = _twin_swaps(g, ranks)
     path: list[int] = []  # the atom individualized at each open node
     nodes: list[_SearchNode] = []  # the open nodes, root first
@@ -498,21 +584,31 @@ def _canonical_component(g: MolGraph) -> str:
         budget -= 1
         if budget < 0:
             raise CanonicalizationError("tie-breaking budget exhausted")
-        order: list[int] = []
-        rendered = _render(g, ranks.index(0), ranks, order)
-        if best is None or rendered < best:
-            best = rendered
-        earlier = first_order.setdefault(rendered, order)
-        if earlier is not order:
+        ranked = [0] * n  # the atom of each rank
+        for i, r in enumerate(ranks):
+            ranked[r] = i
+        # one check a leaf, against the smallest rendering's first leaf:
+        # checking every rendering's would take time quadratic in the leaves
+        # of a graph whose leaves all render differently
+        sigma = None if best is None else [ranked[r] for r in first_leaf[best][0]]
+        if sigma is None or not _automorphism(g, sigma):
+            order: list[int] = []
+            rendered = _render(g, ranked[0], ranks, order)
+            if best is None or rendered < best:
+                best = rendered
+            earlier_order = first_leaf.setdefault(rendered, (ranks, order))[1]
+            if earlier_order is order:
+                return len(nodes)
             sigma = list(range(n))
-            for a, b in zip(earlier, order):
+            for a, b in zip(earlier_order, order):
                 sigma[a] = b
-            automorphisms.append(sigma)
-            # resume at the shallowest node whose current child just
-            # joined the orbit of a tried sibling
-            for depth, node in enumerate(nodes):
-                if node.covered(path[depth], automorphisms):
-                    return depth
+        # an automorphism is kept as its moves: the atoms it does not fix
+        automorphisms.append({a: b for a, b in enumerate(sigma) if a != b})
+        # resume at the shallowest node whose current child just joined
+        # the orbit of a tried sibling
+        for depth, node in enumerate(nodes):
+            if node.covered(path[depth], automorphisms):
+                return depth
         return len(nodes)
 
     def search(ranks: list[int]) -> int:
@@ -528,7 +624,7 @@ def _canonical_component(g: MolGraph) -> str:
                 if node.covered(atom, automorphisms):
                     continue
                 path.append(atom)
-                resume = search(_refine(bonds, _individualize(ranks, atom)))
+                resume = search(_refine(bonds, _individualize(ranks, atom), (atom,)))
                 path.pop()
                 node.tried.append(atom)
                 if resume < depth:
@@ -537,7 +633,10 @@ def _canonical_component(g: MolGraph) -> str:
             nodes.pop()
         return depth
 
-    search(_refine(bonds, ranks))
+    try:
+        search(_refine(bonds, ranks))
+    finally:
+        search = None  # it calls itself: drop the cycle for reference counting
     assert best is not None
     return best
 

@@ -433,8 +433,14 @@ def _assemble(tokens: TokenSequence) -> tuple[
         fail(ValidationKind.UNPAIRED_RING_CLOSURE, idx)
     for _ in stack:
         fail(ValidationKind.UNCLOSED_BRANCH, len(tokens) - 1 if tokens else 0)
-    if tokens and tokens[-1].kind in (TokenKind.DOT, TokenKind.SEPARATOR):
-        fail(ValidationKind.MISPLACED_DOT, len(tokens) - 1)
+    # a trailing break, unless the loop already reported it as following one
+    trailing = (ValidationKind.MISPLACED_DOT, len(tokens) - 1)
+    if (
+        tokens
+        and tokens[-1].kind in (TokenKind.DOT, TokenKind.SEPARATOR)
+        and trailing not in found
+    ):
+        fail(*trailing)
     if not found:
         return atoms, bonds, []
     # token indices become character offsets only once a failure exists

@@ -1,5 +1,7 @@
 """Graph construction, canonicalization and fingerprint tests."""
 
+import gc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from rxnseq import molgraph
 from rxnseq.molgraph import (
     Atom,
     BondOrder,
+    CanonicalizationError,
     InvalidStructure,
     MolGraph,
     ValenceError,
@@ -294,6 +297,43 @@ def exhaustive_canonical(g: MolGraph) -> str:
     return ".".join(sorted(component(g.subgraph(c)) for c in g.components()))
 
 
+def reference_refine(bonds, ranks):
+    """Refinement as first written: every round re-keys every atom by its
+    rank and its sorted (bond class, neighbour rank) keys, and ranks the
+    keys densely, until no rank changes."""
+    while True:
+        size = Counter(ranks)
+        keys = [
+            (rank, tuple(sorted([offset + ranks[j] for offset, j in nbrs])))
+            if size[rank] > 1
+            else (rank,)
+            for rank, nbrs in zip(ranks, bonds)
+        ]
+        order = {k: r for r, k in enumerate(sorted(set(keys)))}
+        new_ranks = [order[k] for k in keys]
+        if new_ranks == ranks:
+            return ranks
+        ranks = new_ranks
+
+
+def checked_refine_calls(monkeypatch, texts) -> Counter:
+    """Canonicalize ``texts``, asserting that every ``_refine`` call returns
+    the reference's ranks; counts the root calls and the seeded ones."""
+    calls = Counter()
+    refine = molgraph._refine
+
+    def checking(bonds, ranks, moved=None):
+        got = refine(bonds, ranks, moved)
+        assert got == reference_refine(bonds, list(ranks)), (ranks, moved)
+        calls["root" if moved is None else "seeded"] += 1
+        return got
+
+    monkeypatch.setattr(molgraph, "_refine", checking)
+    for text in texts:
+        canonical_smiles(parse_string(text))
+    return calls
+
+
 def bfs_ring_atoms(g: MolGraph) -> list[bool]:
     """Endpoints of every bond whose ends stay connected without it."""
     in_ring = [False] * len(g.atoms)
@@ -341,6 +381,32 @@ def test_pruned_search_matches_exhaustive_search():
             assert canonical_smiles(graph) == exhaustive_canonical(graph), rendering
 
 
+def test_refine_keeps_the_reference_ordered_partitions_on_the_corpus(monkeypatch):
+    calls = checked_refine_calls(monkeypatch, corpus_molecules())
+    assert calls["root"] > 1000 and calls["seeded"] > 1000
+
+
+def test_refine_keeps_the_reference_ordered_partitions_on_cages(monkeypatch):
+    texts = []
+    for text in CAGES:
+        g = parse_string(text)
+        texts += [text, random_smiles(g, 1), random_smiles(g, 2)]
+    calls = checked_refine_calls(monkeypatch, texts)
+    assert calls["root"] == len(texts) and calls["seeded"] > len(texts)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["C" * 300, "C" * 1200, "Cl" + "C" * 298 + "Cl"],
+    ids=["C300", "C1200", "ClC298Cl"],
+)
+def test_refine_keeps_the_reference_ordered_partitions_on_chains(monkeypatch, text):
+    # a chain separates one more position from each end per round; between
+    # chlorines the pieces split off behind the interior, not ahead of it
+    calls = checked_refine_calls(monkeypatch, [text])
+    assert calls["root"] == 1 and calls["seeded"] >= 1
+
+
 @pytest.mark.parametrize("text, form", STEREO_TWINS.items())
 def test_terminal_twins_differing_in_stereo_keep_their_form(text, form):
     assert canonical_smiles(parse_string(text)) == form
@@ -361,29 +427,39 @@ SYMMETRIC = [
 ]
 
 
-def rendered_leaves(monkeypatch, text: str) -> int:
-    leaves = []
-    render = molgraph._render
+def search_counts(monkeypatch, text: str) -> tuple[int, int]:
+    """(leaves visited, leaves rendered) while canonicalizing ``text``; a
+    leaf is a node whose ranks leave no class tied."""
+    leaves, renders = [], []
+    tied, render = molgraph._first_tied_class, molgraph._render
 
-    def counting(*args, **kwargs):
-        leaves.append(args[1])
+    def counting_tied(ranks):
+        found = tied(ranks)
+        if found is None:
+            leaves.append(ranks)
+        return found
+
+    def counting_render(*args, **kwargs):
+        renders.append(args[1])
         return render(*args, **kwargs)
 
-    monkeypatch.setattr(molgraph, "_render", counting)
+    monkeypatch.setattr(molgraph, "_first_tied_class", counting_tied)
+    monkeypatch.setattr(molgraph, "_render", counting_render)
     canonical_smiles(parse_string(text))
-    return len(leaves)
+    return len(leaves), len(renders)
 
 
 @pytest.mark.parametrize("text", SYMMETRIC)
 def test_symmetric_molecules_take_few_leaves(monkeypatch, text):
-    # the unpruned search renders one leaf per automorphism
-    assert rendered_leaves(monkeypatch, text) == 4
+    # the unpruned search visits one leaf per automorphism; every leaf after
+    # the first is an automorphic image of it, so only the first is rendered
+    assert search_counts(monkeypatch, text) == (4, 1)
 
 
 @pytest.mark.parametrize("text", ["CC(C)C", "CC(C)(C)O"])
 def test_terminal_twins_alone_take_one_leaf(monkeypatch, text):
     # the seeded swaps are these molecules' whole symmetry
-    assert rendered_leaves(monkeypatch, text) == 1
+    assert search_counts(monkeypatch, text) == (1, 1)
 
 
 @pytest.mark.parametrize("text", SYMMETRIC[1:])
@@ -423,3 +499,38 @@ def test_long_branched_chain_renders_without_recursion():
     rendered = random_smiles(g, 1)
     assert rendered.count("(") == 6
     assert canonical_from_string(rendered) == canonical_smiles(g)
+
+
+# --- no cyclic garbage -------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["CCO", "CC(C)(C)c1ccccc1", SYMMETRIC[0]])
+def test_canonicalization_leaves_no_cyclic_garbage(text):
+    # reference counting alone frees what a call made
+    g = parse_string(text)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            canonical_smiles(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_exhausted_search_leaves_no_cyclic_garbage(monkeypatch):
+    monkeypatch.setattr(molgraph, "_EMISSION_BUDGET", 1)
+    g = parse_string(SYMMETRIC[0])
+    raised = 0
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            try:
+                canonical_smiles(g)
+            except CanonicalizationError:
+                raised += 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert raised == 100

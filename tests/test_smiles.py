@@ -157,6 +157,8 @@ def test_validate_accepts(text):
         (".CC", ValidationKind.MISPLACED_DOT),
         ("CC.", ValidationKind.MISPLACED_DOT),
         ("C..C", ValidationKind.MISPLACED_DOT),
+        (".", ValidationKind.MISPLACED_DOT),
+        ("C..", ValidationKind.MISPLACED_DOT),
         ("C11", ValidationKind.RING_SELF_BOND),
         ("C12CC12", ValidationKind.DUPLICATE_RING_BOND),
         ("C=1CCCCC#1", ValidationKind.CONFLICTING_RING_BOND),
@@ -169,6 +171,7 @@ def test_validate_rejects(text, kind):
         parse_string(text)
     failures = err.value.failures
     assert kind in {f.kind for f in failures}
+    assert len(set(failures)) == len(failures)  # each failure reported once
     assert list(failures) == sorted(failures, key=lambda f: (f.position, f.kind.value))
 
 
