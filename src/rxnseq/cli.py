@@ -249,12 +249,7 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_gen(args) -> int:
     from .pipeline import write_reactions
-    from .templates import (
-        TemplateError,
-        default_substrate_filter,
-        generate_dataset,
-        load_templates_file,
-    )
+    from .templates import TemplateError, generate_dataset, load_templates_file
 
     _require_file(args.templates, "template file")
     _require_file(args.substrates, "substrate file")
@@ -267,13 +262,8 @@ def cmd_gen(args) -> int:
     # unfiltered, so skipped substrates are logged with their file line numbers
     with _reading(args.substrates):
         substrates = Path(args.substrates).read_text(encoding="utf-8").splitlines()
-    f = default_substrate_filter(
-        min_atoms=args.min_atoms,
-        max_atoms=args.max_atoms,
-        max_functional_groups=args.max_groups,
-    )
     began = time.perf_counter()
-    records, failures = generate_dataset(templates, substrates, f)
+    records, failures = generate_dataset(templates, substrates)
     seconds = time.perf_counter() - began
     write_reactions(records, args.out)
     logger.info(
@@ -548,9 +538,6 @@ def build_parser() -> _Parser:
     p.add_argument("--templates", required=True)
     p.add_argument("--substrates", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-atoms", type=int, default=1, dest="min_atoms")
-    p.add_argument("--max-atoms", type=int, default=10, dest="max_atoms")
-    p.add_argument("--max-groups", type=int, default=1, dest="max_groups")
     p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("ingest", help="filter raw reactions into a dataset")

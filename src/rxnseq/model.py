@@ -102,8 +102,12 @@ class ModelConfig:
             raise ValueError("vocab sizes must cover the four special ids")
         if min(self.num_layers, self.embedding_dim, self.hidden_dim) < 1:
             raise ValueError("layer count and dims must be positive")
-        if self.learning_rate <= 0 or self.gradient_clip_norm <= 0:
-            raise ValueError("learning rate and clip norm must be positive")
+        if not all(
+            math.isfinite(v) and v > 0 for v in (self.learning_rate, self.gradient_clip_norm)
+        ):
+            raise ValueError("learning rate and clip norm must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -680,10 +684,13 @@ def fit(
     after epoch of `batch_iter`, for `steps` updates.
 
     Deterministic for a fixed (model seed, data, steps, batch_size, seed).
+    Raises NonFiniteLoss when a step diverges, and when the trained model has
+    a weight that is not finite or a non-finite loss on the last batch.
     """
     if not examples:
         raise ValueError("no training examples")
     log = TrainLog()
+    last = None
     for epoch in itertools.count():
         if log.steps >= steps:
             break
@@ -691,6 +698,17 @@ def fit(
             if log.steps >= steps:
                 break
             log.losses.append(train_step(model, batch.encoder, batch.decoder))
+            last = batch
+    # Checked once, after the last update: an SGD update never makes a
+    # non-finite weight finite again, and finite but huge weights overflow
+    # in the forward pass.
+    for name, arr in model.params.named():
+        if not np.isfinite(arr).all():
+            raise NonFiniteLoss(f"weight {name} is not finite after step {log.steps}")
+    if last is not None and not np.isfinite(
+        loss := batch_loss(model, last.encoder, last.decoder)
+    ):
+        raise NonFiniteLoss(f"loss is {loss} after step {log.steps}")
     return log
 
 

@@ -171,7 +171,8 @@ def parse_pattern(text: str) -> PatternGraph:
 
     Patterns go through the molecule lexer with their own bracket reader.
     A lexing error, a rejected token or a structure failure is reported at
-    its character position.
+    its character position.  Refusing ``.`` keeps every pattern one
+    connected component.
     """
     tokens: list[Token] = []
     try:
@@ -207,6 +208,9 @@ def parse_pattern(text: str) -> PatternGraph:
 
 @dataclass(frozen=True)
 class ReactionTemplate:
+    """One parsed template line.  ``coreactants`` and ``reagents`` hold the
+    canonical molecules of their fields, in field order."""
+
     name: str
     substrate_pattern: PatternGraph
     coreactants: tuple[str, ...]
@@ -218,7 +222,8 @@ def load_templates(lines) -> list[ReactionTemplate]:
     """Load templates from an iterable of DSL lines (or an open file).
 
     Lines are numbered and skipped as numbered_lines does.  Coreactant and
-    reagent fields hold ``;``-separated SMILES and may be empty.
+    reagent fields hold ``;``-separated SMILES and may be empty; each is
+    checked and canonicalized here, once.
     """
     templates: list[ReactionTemplate] = []
     names: set[str] = set()
@@ -239,49 +244,43 @@ def load_templates(lines) -> list[ReactionTemplate]:
             product_pattern = parse_pattern(product_src)
         except PatternSyntaxError as exc:
             raise TemplateSyntaxError(str(exc), line_number) from exc
-        if len(substrate_pattern.components()) != 1:
-            raise TemplateSyntaxError("substrate pattern is not connected", line_number)
-        if len(product_pattern.components()) != 1:
-            raise TemplateSyntaxError("product pattern is not connected", line_number)
-
+        for side, pattern in (("substrate", substrate_pattern), ("product", product_pattern)):
+            mapped = [a.map_number for a in pattern.atoms if a.map_number is not None]
+            if len(mapped) != len(set(mapped)):
+                raise TemplateSyntaxError(f"duplicate map number in {side}", line_number)
         sub_maps = substrate_pattern.maps()
-        if len(sub_maps) != sum(
-            1 for a in substrate_pattern.atoms if a.map_number is not None
-        ):
-            raise TemplateSyntaxError("duplicate map number in substrate", line_number)
-        prod_map_list = [
-            a.map_number for a in product_pattern.atoms if a.map_number is not None
-        ]
-        if len(prod_map_list) != len(set(prod_map_list)):
-            raise TemplateSyntaxError("duplicate map number in product", line_number)
-        for map_number in prod_map_list:
-            if map_number not in sub_maps:
-                raise UnboundMapNumber(name, map_number)
-        for i, atom in enumerate(product_pattern.atoms):
-            if atom.map_number is None and atom.element is None:
-                raise TemplateSyntaxError(
-                    "introduced product atoms must name an element", line_number
-                )
-
-        coreactants = tuple(s for s in (p.strip() for p in coreactants_src.split(";")) if s)
-        reagents = tuple(s for s in (p.strip() for p in reagents_src.split(";")) if s)
-        for smiles in coreactants + reagents:
-            try:
-                parse_string(smiles)
-            except (ValueError, GraphError) as exc:
-                raise TemplateSyntaxError(
-                    f"bad coreactant/reagent SMILES {smiles!r}: {exc}", line_number
-                ) from exc
+        for atom in product_pattern.atoms:
+            if atom.map_number is not None and atom.map_number not in sub_maps:
+                raise UnboundMapNumber(name, atom.map_number)
+        if any(a.map_number is None and a.element is None for a in product_pattern.atoms):
+            raise TemplateSyntaxError(
+                "introduced product atoms must name an element", line_number
+            )
         templates.append(
             ReactionTemplate(
                 name=name,
                 substrate_pattern=substrate_pattern,
-                coreactants=coreactants,
-                reagents=reagents,
+                coreactants=_canonical_field(coreactants_src, line_number),
+                reagents=_canonical_field(reagents_src, line_number),
                 product_pattern=product_pattern,
             )
         )
     return templates
+
+
+def _canonical_field(field: str, line_number: int) -> tuple[str, ...]:
+    """The canonical molecules of a ``;``-separated SMILES field."""
+    parts: list[str] = []
+    for smiles in (s.strip() for s in field.split(";")):
+        if not smiles:
+            continue
+        try:
+            parts += _parts(canonical_from_string(smiles))
+        except (ValueError, GraphError) as exc:
+            raise TemplateSyntaxError(
+                f"bad coreactant/reagent SMILES {smiles!r}: {exc}", line_number
+            ) from exc
+    return tuple(parts)
 
 
 def load_templates_file(path) -> list[ReactionTemplate]:
@@ -325,8 +324,6 @@ def _embeddings(pattern: PatternGraph, g: MolGraph):
     names, none exists and none is searched for.
     """
     n = len(pattern.atoms)
-    if n == 0:
-        return
     need = [a.element for a in pattern.atoms if a.element is not None]
     have = [a.element for a in g.atoms]
     if any(have.count(e) < need.count(e) for e in set(need)):
@@ -405,7 +402,6 @@ def _edit_substrate(
     work = substrate.copy()
     sub_pattern = template.substrate_pattern
     prod_pattern = template.product_pattern
-    sub_maps = sub_pattern.maps()
     prod_maps = prod_pattern.maps()
 
     # substrate-pattern bonds between mapped atoms that do not survive
@@ -507,14 +503,11 @@ def apply_template(
     products = min(
         tuple(canonical_smiles(work.subgraph(kept)).split(".")) for work, kept in best
     )
-    reactants = _parts(canonical_smiles(substrate)) + [
-        p for smiles in template.coreactants for p in _parts(canonical_from_string(smiles))
-    ]
-    reagents = [p for smiles in template.reagents for p in _parts(canonical_from_string(smiles))]
+    reactants = _parts(canonical_smiles(substrate)) + list(template.coreactants)
     return [
         ReactionRecord(
             reactants=tuple(sorted(reactants)),
-            reagents=tuple(sorted(reagents)),
+            reagents=tuple(sorted(template.reagents)),
             products=products,
         )
     ]
@@ -528,13 +521,15 @@ def _parts(canonical: str) -> list[str]:
 # substrate filtering
 
 
+_HEAVY_ATOMS = range(1, 11)
+_MAX_FUNCTIONAL_GROUPS = 1
+
+
 @dataclass(frozen=True)
 class SubstrateFilter:
-    """Eligibility rules for dataset substrates."""
+    """The parsed patterns of the substrate rule: the forbidden motifs, and
+    the functional groups counted against ``_MAX_FUNCTIONAL_GROUPS``."""
 
-    min_atoms: int
-    max_atoms: int
-    max_functional_groups: int
     forbidden_motifs: tuple[PatternGraph, ...]
     functional_groups: tuple[tuple[str, PatternGraph], ...]
 
@@ -562,13 +557,10 @@ _FUNCTIONAL_GROUP_SOURCES: tuple[tuple[str, str], ...] = (
 _NEOPENTYL_SOURCE = "[C;D4]([CH3;D1])([CH3;D1])([CH3;D1])[CH2;D2]"
 
 
-def default_substrate_filter(
-    min_atoms: int = 1, max_atoms: int = 10, max_functional_groups: int = 1
-) -> SubstrateFilter:
+def default_substrate_filter() -> SubstrateFilter:
+    """The filter of the fixed substrate rule: no neopentyl motif, and the
+    functional groups of ``_FUNCTIONAL_GROUP_SOURCES``."""
     return SubstrateFilter(
-        min_atoms=min_atoms,
-        max_atoms=max_atoms,
-        max_functional_groups=max_functional_groups,
         forbidden_motifs=(parse_pattern(_NEOPENTYL_SOURCE),),
         functional_groups=tuple(
             (name, parse_pattern(src)) for name, src in _FUNCTIONAL_GROUP_SOURCES
@@ -603,9 +595,12 @@ def enumerate_substrates(
 ) -> tuple[list[MolGraph], list[tuple[int, str, str]]]:
     """Parse, filter, and halogen-expand substrate SMILES.
 
-    Fluorine-containing substrates additionally yield Cl/Br/I variants.
-    Returns (accepted graphs, skipped (line number, text, reason) rows);
-    invalid lines are skipped, never fatal.
+    Fluorine-containing substrates additionally yield Cl/Br/I variants.  A
+    variant is accepted when it has 1 to 10 heavy atoms, at most one
+    functional group and no forbidden motif, and has not been accepted
+    before.  Returns (accepted graphs, skipped (line number, text, reason)
+    rows); invalid lines are skipped, never fatal, and a rejected variant's
+    text is its canonical SMILES.
     """
     accepted: list[MolGraph] = []
     skipped: list[tuple[int, str, str]] = []
@@ -625,35 +620,26 @@ def enumerate_substrates(
                         atom.element = element
                 variants.append(variant)
         for variant in variants:
-            heavy = sum(1 for a in variant.atoms if a.element != "H")
-            if heavy < f.min_atoms or heavy > f.max_atoms:
-                skipped.append(
-                    (line_number, canonical_smiles(variant), "atom count out of range")
-                )
-                continue
-            groups = count_functional_groups(variant, f)
-            if groups > f.max_functional_groups:
-                skipped.append(
-                    (
-                        line_number,
-                        canonical_smiles(variant),
-                        f"{groups} functional groups",
-                    )
-                )
-                continue
-            if any(
-                _match_atom_sets(motif, variant) for motif in f.forbidden_motifs
-            ):
-                skipped.append(
-                    (line_number, canonical_smiles(variant), "forbidden motif")
-                )
-                continue
             key = canonical_smiles(variant)
-            if key in seen:
-                continue
-            seen.add(key)
-            accepted.append(variant)
+            reason = _rejection(variant, f)
+            if reason is not None:
+                skipped.append((line_number, key, reason))
+            elif key not in seen:
+                seen.add(key)
+                accepted.append(variant)
     return accepted, skipped
+
+
+def _rejection(variant: MolGraph, f: SubstrateFilter) -> str | None:
+    """Why ``variant`` is not an eligible substrate, or None when it is."""
+    if sum(1 for a in variant.atoms if a.element != "H") not in _HEAVY_ATOMS:
+        return "atom count out of range"
+    groups = count_functional_groups(variant, f)
+    if groups > _MAX_FUNCTIONAL_GROUPS:
+        return f"{groups} functional groups"
+    if any(_match_atom_sets(motif, variant) for motif in f.forbidden_motifs):
+        return "forbidden motif"
+    return None
 
 
 def generate_dataset(

@@ -204,6 +204,18 @@ class TestGen:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}: {tmp_path / named}\n"
 
+    def test_substrate_rule_is_not_an_option(self, tmp_path, capsys):
+        sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        options = [a.option_strings for a in sub.choices["gen"]._actions]
+        assert options == [["-h", "--help"], ["--templates"], ["--substrates"], ["--out"]]
+        shipped = Path(pipeline.__file__).parent / "data"
+        argv = ["gen", "--templates", str(shipped / "templates.txt"),
+                "--substrates", str(shipped / "substrates.smi"),
+                "--out", str(tmp_path / "gen.rsmi"), "--max-atoms", "5"]
+        assert main(argv) == 1
+        assert "unrecognized arguments: --max-atoms 5" in capsys.readouterr().err
+        assert not (tmp_path / "gen.rsmi").exists()
+
     def test_missing_template_file(self, tmp_path, capsys):
         substrates = tmp_path / "substrates.smi"
         substrates.write_text("C=C\n")
@@ -420,6 +432,27 @@ class TestTrain:
         assert re.fullmatch(error, failed.stderr), failed.stderr
         assert {name: (tmp_path / name).read_bytes() for name in names} == old
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(("train.rsmi", *names))
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--lr", "nan"], r"learning rate and clip norm must be finite and positive"),
+            (["--lr", "inf"], r"learning rate and clip norm must be finite and positive"),
+            (["--lr", "1e38"], r"training diverged: loss is \S+ after step 1"),
+            (["--lr", "1e39"], r"training diverged: weight \S+ is not finite after step 1"),
+            (["--seed", "-1"], r"seed must be non-negative"),
+        ],
+        ids=["lr-nan", "lr-inf", "lr-1e38", "lr-1e39", "negative-seed"],
+    )
+    def test_unusable_settings_fail_and_write_nothing(self, tmp_path, capsys, flags, error):
+        # The one step's loss is finite at each rate, so train_step's own
+        # checks would let the weights it leaves be written.
+        data = tmp_path / "train.rsmi"
+        data.write_text(TRAIN_LINES)
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "model.rxs2")]
+        assert main(argv + TRAIN_FLAGS + ["--steps", "1"] + flags) == 1
+        assert re.fullmatch(f"error: {error}\n", capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["train.rsmi"]
 
     def test_options_are_pinned(self):
         sub = next(a for a in build_parser()._actions if a.dest == "subcommand")

@@ -93,6 +93,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(learning_rate=0.0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"gradient_clip_norm": float("nan")},
+            {"gradient_clip_norm": float("inf")},
+            {"seed": -1},
+        ],
+        ids=["lr-nan", "lr-inf", "clip-nan", "clip-inf", "negative-seed"],
+    )
+    def test_rejects_non_finite_rates_and_negative_seed(self, overrides):
+        with pytest.raises(ValueError):
+            tiny_config(**overrides)
+
 
 def reference_gru(layer, x, h):
     """Element-by-element transcription of the gate formulas."""
@@ -727,8 +742,10 @@ class TestCheckpoint:
             (b"buckets=7:8", b"buckets=7;8"),
             (b"seed=11", b"seed=\xff1"),
             (b"enc.0.w_z", b"enc.0.w_\xff"),
+            (b"seed=11", b"seed=-11"),
+            (b"learning_rate=0.5", b"learning_rate=nan"),
         ],
-        ids=["bad-buckets", "config-not-utf8", "name-not-utf8"],
+        ids=["bad-buckets", "config-not-utf8", "name-not-utf8", "negative-seed", "nan-rate"],
     )
     def test_corrupt_text_is_config_mismatch(self, tmp_path, old, new):
         path = tmp_path / "model.rxs2"

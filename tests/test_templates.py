@@ -89,6 +89,8 @@ def test_parse_pattern_errors():
             parse_pattern(text)
         assert err.value.position == position, text
         assert str(err.value).count("at position") == 1, text
+    with pytest.raises(PatternSyntaxError, match="pattern has no atoms"):
+        parse_pattern("")
 
 
 def test_match_pattern_two_embeddings():
@@ -261,17 +263,46 @@ def test_apply_main_product_only_for_ester_hydrolysis():
     assert record.products == (canonical_from_string("CC(=O)O"),)
 
 
+# Each refused template file with its error type and message.  The dot
+# cases show what keeps every pattern one connected component.
+TEMPLATE_ERRORS = [
+    (["name-only"], TemplateSyntaxError,
+     "line 1: expected 5 '|' separated fields, found 1"),
+    ([" | C | | | C"], TemplateSyntaxError, "line 1: empty template name"),
+    (["bad | [C:1]=[C:2] | | | [C:1][C:3]Cl"], UnboundMapNumber,
+     "template 'bad': product map :3 does not appear in the substrate pattern"),
+    (["bad | [C:1].[C:2] | | | [C:1][C:2]"], TemplateSyntaxError,
+     "line 1: unrecognized pattern text '.' at position 5"),
+    (["bad | [C:1]=[C:2] | | | [C:1].[C:2]"], TemplateSyntaxError,
+     "line 1: unrecognized pattern text '.' at position 5"),
+    (["bad | [C:1][C:1] | | | [C:1]"], TemplateSyntaxError,
+     "line 1: duplicate map number in substrate"),
+    (["bad | [C:1][C:2] | | | [C:1][C:1]"], TemplateSyntaxError,
+     "line 1: duplicate map number in product"),
+    (["bad | [C:1] | | | [C:1][*]"], TemplateSyntaxError,
+     "line 1: introduced product atoms must name an element"),
+    (["bad | [C:1]=[C:2] | not_smiles( | | [C:1][C:2]"], TemplateSyntaxError,
+     "line 1: bad coreactant/reagent SMILES 'not_smiles(': "
+     "unrecognized character ('t') at position 2"),
+    (["bad | [C:1]=[C:2] | | C1CC | [C:1][C:2]"], TemplateSyntaxError,
+     "line 1: bad coreactant/reagent SMILES 'C1CC': "
+     "structurally invalid token sequence: unpaired_ring_closure@1"),
+    ([HYDROCHLORINATION, HYDROCHLORINATION], TemplateSyntaxError,
+     "line 2: duplicate template name 'hydrochlorination'"),
+]
+
+
 def test_load_templates_validation():
-    with pytest.raises(TemplateSyntaxError):
-        load_templates(["name-only"])
-    with pytest.raises(UnboundMapNumber):
-        load_templates(["bad | [C:1]=[C:2] | | | [C:1][C:3]Cl"])
-    with pytest.raises(TemplateSyntaxError):
-        load_templates(["bad | [C:1].[C:2] | | | [C:1][C:2]"])
-    with pytest.raises(TemplateSyntaxError):
-        load_templates(["bad | [C:1]=[C:2] | not_smiles( | | [C:1][C:2]"])
-    with pytest.raises(TemplateSyntaxError):
-        load_templates([HYDROCHLORINATION, HYDROCHLORINATION])
+    for lines, error, message in TEMPLATE_ERRORS:
+        with pytest.raises(error) as err:
+            load_templates(lines)
+        assert str(err.value) == message
+
+
+def test_load_templates_canonicalizes_coreactants_and_reagents():
+    t = template("x | [C:1]=[C:2] | OCC;; [Na+].[Cl-] | ;O=S(=O)(O)O | [C:1][C:2]")
+    assert t.coreactants == ("CCO", "[Cl-]", "[Na+]")
+    assert t.reagents == (canonical_from_string("OS(=O)(=O)O"),)
 
 
 def test_load_templates_skips_comments_and_blanks():
@@ -299,14 +330,17 @@ def test_enumerate_substrates_filters():
         "CCCCCCCCCCC=C",    # too many atoms
         "CC(C)(C)CBr",      # neopentyl-like
         "not_smiles(",      # unparseable
+        "[H][H]",           # no heavy atom
     ]
     graphs, skipped = enumerate_substrates(raw, f)
     assert [canonical_smiles(g) for g in graphs] == [canonical_from_string("CC=C")]
-    reasons = [reason for _, _, reason in skipped]
-    assert any("functional groups" in r for r in reasons)
-    assert any("atom count" in r for r in reasons)
-    assert any("forbidden motif" in r for r in reasons)
-    assert any("parse error" in r for r in reasons)
+    assert skipped == [
+        (2, "C=CC=C", "2 functional groups"),
+        (3, "C=CCCCCCCCCCC", "atom count out of range"),
+        (4, "BrCC(C)(C)C", "forbidden motif"),
+        (5, "not_smiles(", "parse error: unrecognized character ('t') at position 2"),
+        (6, "[H][H]", "atom count out of range"),
+    ]
 
 
 def test_enumerate_substrates_halide_expansion():
