@@ -27,6 +27,9 @@ rendering's first leaf to its own r-th ranked atom is an automorphism: it
 renders that string, and the map is the one the emission orders would
 give (``c1cc(C(F)(F)F)ccc1-c1ccc(C(F)(F)F)cc1`` takes 4 leaves and 1
 rendering).
+:func:`canonical_form` hands back the automorphisms the search knew, the
+twin swaps and those its leaves found, with the string;
+:func:`canonical_smiles` keeps the string alone.
 ``canonical_from_string`` remembers its most recent distinct inputs.
 Stereo markers are carried through emission but excluded from ranking,
 so two renderings of one molecule that differ only in stereo layout may
@@ -42,6 +45,7 @@ import random
 from itertools import groupby
 from operator import itemgetter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .smiles import (
     _BOND_ORDER_VALUE,
@@ -63,6 +67,7 @@ __all__ = [
     "BOND_VALENCE",
     "Atom",
     "BondOrder",
+    "CanonicalForm",
     "CanonicalizationError",
     "Fingerprint",
     "GraphError",
@@ -70,6 +75,7 @@ __all__ = [
     "MolGraph",
     "ValenceError",
     "WidthMismatch",
+    "canonical_form",
     "canonical_smiles",
     "canonical_from_string",
     "effective_hcount",
@@ -554,8 +560,9 @@ def _automorphism(g: MolGraph, sigma: list[int]) -> bool:
     return True
 
 
-def _canonical_component(g: MolGraph) -> str:
-    """The smallest leaf rendering of the tie-breaking search tree.
+def _canonical_component(g: MolGraph) -> tuple[str, list[dict[int, int]]]:
+    """The smallest leaf rendering of the tie-breaking search tree, and the
+    automorphisms the search knew, each as its moves: atom -> image.
 
     A node's children individualize each atom of its first tied class;
     children in the orbit of a tried sibling are skipped (module
@@ -567,8 +574,6 @@ def _canonical_component(g: MolGraph) -> str:
     one the emission orders would give, so it is not rendered.
     """
     n = len(g.atoms)
-    if n == 0:
-        return ""
     bonds = _bond_keys(g)
     ranks = _initial_ranks(g)
     budget = _EMISSION_BUDGET
@@ -638,7 +643,35 @@ def _canonical_component(g: MolGraph) -> str:
     finally:
         search = None  # it calls itself: drop the cycle for reference counting
     assert best is not None
-    return best
+    return best, automorphisms
+
+
+class CanonicalForm(NamedTuple):
+    """A graph's canonical SMILES and automorphisms of that graph, each as
+    its moves (atom -> image, in the graph's own atom indices).
+
+    The automorphisms are those the search knew: the terminal twins' swaps
+    and those its leaves found.  They need not generate the whole group,
+    and no automorphism swaps two components.
+    """
+
+    smiles: str
+    automorphisms: tuple[dict[int, int], ...]
+
+
+def canonical_form(g: MolGraph) -> CanonicalForm:
+    """:func:`canonical_smiles` with the automorphisms its search found."""
+    comps = g.components()
+    if len(comps) == 1:
+        smiles, automorphisms = _canonical_component(g)
+        return CanonicalForm(smiles, tuple(automorphisms))
+    parts = []
+    automorphisms = []
+    for comp in comps:
+        smiles, found = _canonical_component(g.subgraph(comp))
+        parts.append(smiles)
+        automorphisms += [{comp[a]: comp[b] for a, b in moves.items()} for moves in found]
+    return CanonicalForm(".".join(sorted(parts)), tuple(automorphisms))
 
 
 def canonical_smiles(g: MolGraph) -> str:
@@ -647,10 +680,7 @@ def canonical_smiles(g: MolGraph) -> str:
     Components are canonicalized separately and joined with dots in
     lexicographic order.
     """
-    comps = g.components()
-    if len(comps) == 1:
-        return _canonical_component(g)
-    return ".".join(sorted(_canonical_component(g.subgraph(comp)) for comp in comps))
+    return canonical_form(g).smiles
 
 
 # Distinct strings canonical_from_string remembers per process; a few MB at most.

@@ -16,7 +16,13 @@ keeps the component(s) containing product atoms.  When different
 embeddings give different products, the one whose newly substituted
 carbon has the highest heavy-atom degree wins (Markovnikov), with
 remaining ties broken by the lexicographically smallest canonical
-product.
+product.  An embedding that a substrate automorphism maps onto one already
+edited is skipped (both orientations of ``[C:1]=[C:2]`` on ``C=C`` give
+one edit): its edit is the same molecule, so it scores and canonicalizes
+alike.  The automorphisms are those the substrate's canonicalization found
+(:func:`canonical_form`), so ``generate_dataset`` canonicalizes each
+substrate once, for the filter's duplicate check, the reactant text and
+the skips alike.
 """
 
 from __future__ import annotations
@@ -30,9 +36,12 @@ from .molgraph import (
     BOND_OF_SYMBOL,
     Atom,
     BondOrder,
+    CanonicalForm,
     GraphError,
     MolGraph,
     ValenceError,
+    _automorphism,
+    canonical_form,
     canonical_from_string,
     canonical_smiles,
     effective_hcount,
@@ -306,6 +315,8 @@ def _atom_compatible(g: MolGraph, gi: int, pa: PatternAtom) -> bool:
         return False
     if pa.hcount is not None and effective_hcount(g, gi) != pa.hcount:
         return False
+    if pa.min_degree == 0 and pa.max_degree is None:
+        return True
     degree = _heavy_degree(g, gi)
     if degree < pa.min_degree:
         return False
@@ -357,14 +368,14 @@ def _embeddings(pattern: PatternGraph, g: MolGraph):
         ]
         candidates = g.neighbors(anchors[0][0]) if anchors else range(len(g.atoms))
         for gi in candidates:
-            if gi in used or not _atom_compatible(g, gi, pattern.atoms[p]):
-                continue
-            ok = all(
+            # the bonds first: they are cheaper to check than the atom
+            if gi in used or not all(
                 (graph_order := g.bond_order(anchor, gi)) is not None
                 and _orders_compatible(pattern_order, graph_order)
                 for anchor, pattern_order in anchors
-            )
-            if not ok:
+            ):
+                continue
+            if not _atom_compatible(g, gi, pattern.atoms[p]):
                 continue
             assignment[p] = gi
             used.add(gi)
@@ -480,30 +491,48 @@ def _edit_substrate(
 
 
 def apply_template(
-    template: ReactionTemplate, substrate: MolGraph
+    template: ReactionTemplate, substrate: MolGraph, form: CanonicalForm | None = None
 ) -> list[ReactionRecord]:
     """Apply a template to one substrate molecule.
 
     Returns an empty list when the pattern does not match, otherwise a
-    single record for the selected product.  Every embedding's edit is
-    scored first; only the best-scoring products are canonicalized, since
-    the rule (module docstring) picks among them alone.
+    single record for the selected product.  ``form`` is the substrate's
+    :func:`canonical_form`, computed here when not given: its string gives
+    the reactants, and its automorphisms, each checked against
+    ``substrate``, the embeddings to skip (module docstring).  Every edited
+    embedding is scored first; only the best-scoring products are
+    canonicalized, since the rule picks among them alone, and a product
+    identical to an earlier one, atom for atom and bond for bond, is not
+    canonicalized again.
     """
+    embeddings = match_pattern(template.substrate_pattern, substrate)
+    if not embeddings:
+        return []
+    if form is None:
+        form = canonical_form(substrate)
+    automorphisms = [
+        moves
+        for moves in form.automorphisms
+        if _automorphism(substrate, [moves.get(i, i) for i in range(len(substrate.atoms))])
+    ]
+    edited: set[tuple[int, ...]] = set()
     best_score = -2  # below every score
-    best: list[tuple[MolGraph, list[int]]] = []
-    for embedding in match_pattern(template.substrate_pattern, substrate):
+    best: list[MolGraph] = []  # the best-scoring products, no two identical
+    for embedding in embeddings:
+        atoms = tuple(embedding.values())  # in map-number order, as match_pattern gives
+        if any(tuple([moves.get(a, a) for a in atoms]) in edited for moves in automorphisms):
+            continue
+        edited.add(atoms)
         work, kept, gained = _edit_substrate(substrate, template, embedding)
         score = max((_heavy_degree(work, i) for i in gained), default=-1)
         if score > best_score:
             best_score, best = score, []
         if score == best_score:
-            best.append((work, kept))
-    if not best:
-        return []
-    products = min(
-        tuple(canonical_smiles(work.subgraph(kept)).split(".")) for work, kept in best
-    )
-    reactants = _parts(canonical_smiles(substrate)) + list(template.coreactants)
+            product = work.subgraph(kept)
+            if not any(product.atoms == p.atoms and product._adj == p._adj for p in best):
+                best.append(product)
+    products = min(tuple(canonical_smiles(p).split(".")) for p in best)
+    reactants = _parts(form.smiles) + list(template.coreactants)
     return [
         ReactionRecord(
             reactants=tuple(sorted(reactants)),
@@ -592,17 +621,18 @@ _HALIDE_SWAPS = ("Cl", "Br", "I")
 
 def enumerate_substrates(
     raw: list[str], f: SubstrateFilter
-) -> tuple[list[MolGraph], list[tuple[int, str, str]]]:
+) -> tuple[list[tuple[MolGraph, CanonicalForm]], list[tuple[int, str, str]]]:
     """Parse, filter, and halogen-expand substrate SMILES.
 
     Fluorine-containing substrates additionally yield Cl/Br/I variants.  A
     variant is accepted when it has 1 to 10 heavy atoms, at most one
     functional group and no forbidden motif, and has not been accepted
-    before.  Returns (accepted graphs, skipped (line number, text, reason)
-    rows); invalid lines are skipped, never fatal, and a rejected variant's
-    text is its canonical SMILES.
+    before.  Returns (accepted (graph, canonical form) pairs, skipped (line
+    number, text, reason) rows); invalid lines are skipped, never fatal, and
+    a rejected variant's text is its canonical SMILES.  Each variant is
+    canonicalized once.
     """
-    accepted: list[MolGraph] = []
+    accepted: list[tuple[MolGraph, CanonicalForm]] = []
     skipped: list[tuple[int, str, str]] = []
     seen: set[str] = set()
     for line_number, text in numbered_lines(raw):
@@ -620,13 +650,13 @@ def enumerate_substrates(
                         atom.element = element
                 variants.append(variant)
         for variant in variants:
-            key = canonical_smiles(variant)
+            form = canonical_form(variant)
             reason = _rejection(variant, f)
             if reason is not None:
-                skipped.append((line_number, key, reason))
-            elif key not in seen:
-                seen.add(key)
-                accepted.append(variant)
+                skipped.append((line_number, form.smiles, reason))
+            elif form.smiles not in seen:
+                seen.add(form.smiles)
+                accepted.append((variant, form))
     return accepted, skipped
 
 
@@ -650,22 +680,27 @@ def generate_dataset(
     """Cross every template with every eligible substrate.
 
     Returns records sorted by reaction string with duplicates removed,
-    plus (template, substrate, error) rows for failed applications.
+    plus (template, substrate, error) rows for failed applications; each
+    failure is also logged as a warning.
     """
     if f is None:
         f = default_substrate_filter()
-    graphs, skipped = enumerate_substrates(substrates, f)
+    accepted, skipped = enumerate_substrates(substrates, f)
     for line_number, text, reason in skipped:
         logger.info("substrate skipped (line %d, %s): %s", line_number, text, reason)
 
     records: dict[str, ReactionRecord] = {}
     failures: list[tuple[str, str, str]] = []
     for template in templates:
-        for g in graphs:
+        for g, form in accepted:
             try:
-                produced = apply_template(template, g)
+                produced = apply_template(template, g, form)
             except (GraphError, ValenceError) as exc:
-                failures.append((template.name, canonical_smiles(g), str(exc)))
+                failures.append((template.name, form.smiles, str(exc)))
+                logger.warning(
+                    "application failed (template %s, substrate %s): %s",
+                    template.name, form.smiles, exc,
+                )
                 continue
             for record in produced:
                 records.setdefault(record.smiles(), record)

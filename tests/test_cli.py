@@ -184,6 +184,29 @@ class TestGen:
         assert main(argv) == 0
         assert "substrate skipped (line 5, C1CC)" in caplog.text
 
+    def test_each_failed_application_is_logged_by_name(self, tmp_path, caplog):
+        templates = tmp_path / "templates.txt"
+        templates.write_text(
+            "hydrochlorination | [C:1]=[C:2] | Cl | | [C:1][C:2]Cl\n"
+            "overfill | [C:1]=[C:2] | | | [C:1]=[C:2](=O)=O\n"
+        )
+        substrates = tmp_path / "substrates.smi"
+        substrates.write_text("C=C\nCC=C\n")
+        out = tmp_path / "gen.rsmi"
+        caplog.set_level(logging.INFO, logger="rxnseq")
+        argv = ["gen", "--templates", str(templates), "--substrates", str(substrates),
+                "--out", str(out)]
+        assert main(argv) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "application failed (template overfill, substrate C=C): "
+            "atom 1 (C, bond order sum 6) exceeds its largest valence",
+            "application failed (template overfill, substrate C=CC): "
+            "atom 2 (C, bond order sum 6) exceeds its largest valence",
+        ]
+        assert "(2 applications failed)" in caplog.records[-1].getMessage()
+        assert out.read_text() == "C=C.Cl>>CCCl\nC=CC.Cl>>CC(C)Cl\n"
+
     @pytest.mark.parametrize(
         "out, message, named",
         [

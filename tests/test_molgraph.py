@@ -16,6 +16,7 @@ from rxnseq.molgraph import (
     MolGraph,
     ValenceError,
     WidthMismatch,
+    canonical_form,
     canonical_from_string,
     canonical_smiles,
     effective_hcount,
@@ -460,6 +461,55 @@ def test_symmetric_molecules_take_few_leaves(monkeypatch, text):
 def test_terminal_twins_alone_take_one_leaf(monkeypatch, text):
     # the seeded swaps are these molecules' whole symmetry
     assert search_counts(monkeypatch, text) == (1, 1)
+
+
+def permuted(g: MolGraph, sigma: list[int]) -> MolGraph:
+    """``g`` with atom i renumbered ``sigma[i]``."""
+    atoms = [None] * len(g.atoms)
+    for i, image in enumerate(sigma):
+        atoms[image] = g.atoms[i]
+    h = MolGraph()
+    for atom in atoms:
+        h.add_atom(atom)
+    for a, b, order in g.bonds():
+        h.add_bond(sigma[a], sigma[b], order)
+    return h
+
+
+def shipped_substrates() -> list[str]:
+    lines = (DATA / "substrates.smi").read_text(encoding="utf-8").splitlines()
+    return [line.strip() for line in lines if line.strip() and not line.startswith("#")]
+
+
+def test_canonical_form_returns_automorphisms_that_hold():
+    texts = corpus_molecules() + shipped_substrates() + CAGES + ["C=C.C=C", "CC(C)C.C1CC1"]
+    moved = 0
+    for text in texts:
+        g = parse_string(text)
+        form = canonical_form(g)
+        assert form.smiles == canonical_smiles(g), text
+        for moves in form.automorphisms:
+            assert moves and all(a != b for a, b in moves.items()), (text, moves)
+            sigma = [moves.get(i, i) for i in range(len(g.atoms))]
+            assert sorted(sigma) == list(range(len(g.atoms))), (text, moves)
+            assert molgraph._automorphism(g, sigma), (text, moves)
+            assert canonical_smiles(permuted(g, sigma)) == form.smiles, (text, moves)
+            moved += 1
+    assert moved > len(texts)
+
+
+@pytest.mark.parametrize(
+    "text, moves",
+    [
+        ("C=C", ({0: 1, 1: 0},)),
+        ("CC(C)C", ({0: 2, 2: 0}, {0: 3, 3: 0}, {2: 3, 3: 2})),
+        ("CCO", ()),
+        # one swap per component, in the whole graph's atom numbers
+        ("CC.OC=CO", ({0: 1, 1: 0}, {2: 5, 3: 4, 4: 3, 5: 2})),
+    ],
+)
+def test_canonical_form_automorphisms_of_small_molecules(text, moves):
+    assert canonical_form(parse_string(text)).automorphisms == moves
 
 
 @pytest.mark.parametrize("text", SYMMETRIC[1:])

@@ -2,11 +2,20 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import rxnseq
 from rxnseq import templates as templates_module
-from rxnseq.molgraph import canonical_from_string, canonical_smiles, parse_string
+from rxnseq.molgraph import (
+    GraphError,
+    canonical_form,
+    canonical_from_string,
+    canonical_smiles,
+    parse_string,
+)
+from rxnseq.pipeline import ReactionRecord
 from rxnseq.templates import (
     PatternSyntaxError,
     SubstrateFilter,
@@ -18,11 +27,17 @@ from rxnseq.templates import (
     enumerate_substrates,
     generate_dataset,
     load_templates,
+    load_templates_file,
     match_pattern,
     parse_pattern,
     _atom_compatible,
+    _edit_substrate,
+    _heavy_degree,
     _orders_compatible,
+    _parts,
 )
+
+DATA = Path(rxnseq.__file__).parent / "data"
 
 
 def template(line):
@@ -332,8 +347,9 @@ def test_enumerate_substrates_filters():
         "not_smiles(",      # unparseable
         "[H][H]",           # no heavy atom
     ]
-    graphs, skipped = enumerate_substrates(raw, f)
-    assert [canonical_smiles(g) for g in graphs] == [canonical_from_string("CC=C")]
+    accepted, skipped = enumerate_substrates(raw, f)
+    assert [form.smiles for _, form in accepted] == [canonical_from_string("CC=C")]
+    assert [canonical_smiles(g) for g, _ in accepted] == [canonical_from_string("CC=C")]
     assert skipped == [
         (2, "C=CC=C", "2 functional groups"),
         (3, "C=CCCCCCCCCCC", "atom count out of range"),
@@ -345,8 +361,8 @@ def test_enumerate_substrates_filters():
 
 def test_enumerate_substrates_halide_expansion():
     f = default_substrate_filter()
-    graphs, _ = enumerate_substrates(["CF"], f)
-    assert [canonical_smiles(g) for g in graphs] == [
+    accepted, _ = enumerate_substrates(["CF"], f)
+    assert [canonical_smiles(g) for g, _ in accepted] == [
         canonical_from_string(s) for s in ("CF", "CCl", "CBr", "CI")
     ]
 
@@ -370,3 +386,120 @@ def test_generated_records_are_normalized():
     for part in (record.reactants, record.reagents, record.products):
         assert list(part) == sorted(canonical_from_string(s) for s in part)
 
+
+
+# --- the skips against the unskipped application ---------------------------
+
+
+def reference_apply(template, substrate):
+    """Application as it was before any skip: every embedding is edited,
+    every best-scoring product is canonicalized, and so is the substrate."""
+    best_score = -2
+    best = []
+    for embedding in match_pattern(template.substrate_pattern, substrate):
+        work, kept, gained = _edit_substrate(substrate, template, embedding)
+        score = max((_heavy_degree(work, i) for i in gained), default=-1)
+        if score > best_score:
+            best_score, best = score, []
+        if score == best_score:
+            best.append((work, kept))
+    if not best:
+        return []
+    products = min(
+        tuple(canonical_smiles(work.subgraph(kept)).split(".")) for work, kept in best
+    )
+    reactants = _parts(canonical_smiles(substrate)) + list(template.coreactants)
+    return [
+        ReactionRecord(
+            reactants=tuple(sorted(reactants)),
+            reagents=tuple(sorted(template.reagents)),
+            products=products,
+        )
+    ]
+
+
+def outcome(apply, *args):
+    """The records ``apply`` returns, or the error it raises as (type, text)."""
+    try:
+        return apply(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def shipped():
+    templates = load_templates_file(DATA / "templates.txt")
+    substrates = (DATA / "substrates.smi").read_text(encoding="utf-8").splitlines()
+    accepted, _ = enumerate_substrates(substrates, default_substrate_filter())
+    return templates, accepted
+
+
+def test_apply_matches_the_unskipped_application_on_the_shipped_data():
+    templates, accepted = shipped()
+    pairs = 0
+    for template in templates:
+        for g, form in accepted:
+            got = outcome(apply_template, template, g, form)
+            assert got == outcome(reference_apply, template, g), (template.name, form.smiles)
+            pairs += 1
+    assert pairs == 1674
+
+
+# Symmetric substrates, one with two equal components, and a template
+# every application of which fails.
+SYMMETRIC_SUBSTRATES = ["C=C", "C1=CCCCC1", "CC(C)=C(C)C", "C=CC=C", "C=C.C=C"]
+OVERFILL = "overfill | [C:1]=[C:2] | | | [C:1]=[C:2](=O)=O"
+
+
+def test_apply_matches_the_unskipped_application_on_symmetric_substrates():
+    templates = shipped()[0] + load_templates([OVERFILL])
+    for text in SYMMETRIC_SUBSTRATES:
+        g = parse_string(text)
+        for template in templates:
+            expected = outcome(reference_apply, template, g)
+            assert outcome(apply_template, template, g) == expected, (template.name, text)
+            form = canonical_form(g)
+            assert outcome(apply_template, template, g, form) == expected, (template.name, text)
+
+
+def test_gen_canonicalizes_each_substrate_once_and_no_mirrored_product(monkeypatch):
+    """One ``gen`` on the shipped data: each substrate variant is
+    canonicalized once, in ``enumerate_substrates``.  An application
+    canonicalizes only products: it edits no embedding that a substrate
+    automorphism maps onto an edited one, and canonicalizes no product
+    identical to an earlier one."""
+    # each call as (its graph's id, whether an application made it)
+    forms, strings, edits = [], [], []
+    applying = []
+    for name, calls in (("canonical_form", forms), ("canonical_smiles", strings),
+                        ("_edit_substrate", edits)):
+        original = getattr(templates_module, name)
+
+        def counting(*args, original=original, calls=calls):
+            calls.append((id(args[0]), bool(applying)))
+            return original(*args)
+
+        monkeypatch.setattr(templates_module, name, counting)
+    apply = templates_module.apply_template
+
+    def applying_one(*args):
+        applying.append(args)
+        try:
+            return apply(*args)
+        finally:
+            applying.pop()
+
+    monkeypatch.setattr(templates_module, "apply_template", applying_one)
+    substrates = (DATA / "substrates.smi").read_text(encoding="utf-8").splitlines()
+    records, failures = generate_dataset(
+        load_templates_file(DATA / "templates.txt"), substrates
+    )
+    assert len(records) == 291 and failures == []
+    # 93 substrate lines, every one parsing and none with fluorine
+    variants = {graph for graph, _ in forms}
+    assert len(variants) == len(forms) == 93
+    assert not any(inside for _, inside in forms)
+    assert all(inside and graph not in variants for graph, inside in strings)
+    # the unskipped application edits 528 embeddings and canonicalizes
+    # 461 products and 291 substrates
+    assert len(edits) == 469
+    assert len(strings) == 360
