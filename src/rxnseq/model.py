@@ -20,7 +20,9 @@ Encoder states are stored once, in each layer's output array.  Backward
 recomputes the attention tanh s (batch, length, hidden) from the query and
 the keys with the same operands in the same order, so gradients keep their
 bits while a step's memory grows with the encoder length plus the decoder
-length, not with their product.
+length, not with their product.  The decoder is backpropagated step by
+step; the encoder as its forward pass ran, layer by layer from the top, with
+each step's PAD mask as the forward pass recorded it.
 """
 
 from __future__ import annotations
@@ -285,24 +287,6 @@ def _gru_backward(layer: GruLayerParams, grad: GruLayerParams, cache, dh_new):
     return dx, dh
 
 
-def _stack_backward(layers, grads, caches, dh_carry, dabove, pad=None):
-    """Backpropagate one time step down a GRU stack, top layer first.
-
-    dh_carry holds each layer's gradient flowing back from the next step and
-    is replaced in place by the gradient for the previous step; returns the
-    gradient with respect to the bottom layer's input.  Rows set in pad
-    (batch, 1) kept their state: their gradient bypasses the cell.  None
-    means no row holds a PAD at this step.
-    """
-    for l in reversed(range(len(layers))):
-        dh = dh_carry[l] + dabove
-        cell_dh = dh if pad is None else np.where(pad, 0.0, dh)
-        dabove, dh_carry[l] = _gru_backward(layers[l], grads[l], caches[l], cell_dh)
-        if pad is not None:
-            dh_carry[l] += np.where(pad, dh, 0.0)
-    return dabove
-
-
 def _check_ids(ids: np.ndarray, vocab_size: int, side: str) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise UnknownId(f"{side} id outside [0, {vocab_size})")
@@ -312,10 +296,11 @@ def _encode_forward(model: Model, enc_ids: np.ndarray, caches: list | None = Non
     """Run the encoder stack; returns (top-layer states, final hidden per
     layer, PAD mask).  A row keeps its state across its own PAD steps, so
     leading columns that are PAD in every row stay zero and are skipped, and
-    only a column holding some PAD selects per row.  When caches is a list
-    (training), each layer's BPTT caches are appended to it.  Each state is
-    stored once, in its layer's (batch, length, hidden) output: a step's
-    cached incoming state is a view of the previous column there.
+    only a column holding some PAD selects per row, by its mask (batch, 1).
+    When caches is a list (training), each layer's steps are appended to it
+    as (t, mask or None, cell cache), the rule _encode_backward replays.
+    Each state is stored once, in its layer's (batch, length, hidden)
+    output: a step's cached incoming state is a view of the previous column.
     """
     params, config = model.params, model.config
     batch, length = enc_ids.shape
@@ -323,6 +308,7 @@ def _encode_forward(model: Model, enc_ids: np.ndarray, caches: list | None = Non
     pad = enc_ids == PAD_ID
     start = int(np.cumprod(pad.all(axis=0)).sum())
     padded = pad.any(axis=0).tolist()
+    steps = [(t, pad[:, t, None] if padded[t] else None) for t in range(start, length)]
     dtype = params.dtype
     layer_in = params.enc_embed[enc_ids]
     finals = []
@@ -330,20 +316,42 @@ def _encode_forward(model: Model, enc_ids: np.ndarray, caches: list | None = Non
         h = np.zeros((batch, config.hidden_dim), dtype=dtype)
         outs = np.zeros((batch, length, config.hidden_dim), dtype=dtype)
         layer_caches = []
-        for t in range(start, length):
+        for t, mask in steps:
             h_new, cache = _gru_forward(layer, layer_in[:, t], h)
-            if padded[t]:
-                h_new = np.where(pad[:, t, None], h, h_new)
+            if mask is not None:
+                h_new = np.where(mask, h, h_new)
             outs[:, t] = h_new
             h = outs[:, t]
             if caches is not None:
-                layer_caches.append(cache)
+                layer_caches.append((t, mask, cache))
         if caches is not None:
             caches.append(layer_caches)
         # a copy, so a lower layer's outputs are not held through decoding
         finals.append(h.copy())
         layer_in = outs
     return layer_in, finals, pad
+
+
+def _encode_backward(params: ModelParams, grad: ModelParams, caches, dh_final, dmem):
+    """Backpropagate the encoder as _encode_forward ran it: layer by layer,
+    top first, each layer's steps in reverse.  dh_final holds the gradient
+    of each layer's final state and dmem that of the top layer's outputs;
+    returns the gradient of the embedded input (batch, length, embedding).
+    A masked row kept its state, so its gradient bypasses the cell.
+    """
+    dabove = dmem
+    for l in reversed(range(len(caches))):
+        layer, dh = params.enc_layers[l], dh_final[l]
+        dbelow = np.zeros(dmem.shape[:2] + layer.w.shape[:1], dtype=dmem.dtype)
+        for t, mask, cache in reversed(caches[l]):
+            dh = dh + dabove[:, t]
+            cell_dh = dh if mask is None else np.where(mask, 0.0, dh)
+            dbelow[:, t], dh_prev = _gru_backward(layer, grad.enc_layers[l], cache, cell_dh)
+            if mask is not None:
+                dh_prev += np.where(mask, dh, 0.0)
+            dh = dh_prev
+        dabove = dbelow
+    return dabove
 
 
 def encode(model: Model, encoder_ids) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -558,7 +566,9 @@ def batch_loss(model: Model, enc_ids, dec_ids) -> float:
 
 
 def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
-    """Loss plus full-parameter gradients by backpropagation through time."""
+    """Loss plus full-parameter gradients by backpropagation through time:
+    the decoder steps in reverse, then the encoder by _encode_backward, which
+    reads each step's PAD mask from the forward caches."""
     params, config = model.params, model.config
     enc = np.asarray(enc_ids, dtype=np.int64)
     dec = np.asarray(dec_ids, dtype=np.int64)
@@ -593,13 +603,11 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
         grad.out_b += dl.sum(axis=0)
         dfeat = dl @ params.out_w.T
         dcontext = dfeat[:, hidden:].copy()
-        dx = _stack_backward(
-            params.dec_layers,
-            grad.dec_layers,
-            cell_caches,
-            dh_carry,
-            dfeat[:, :hidden],
-        )
+        dx = dfeat[:, :hidden]
+        for l in reversed(range(config.num_layers)):
+            dx, dh_carry[l] = _gru_backward(
+                params.dec_layers[l], grad.dec_layers[l], cell_caches[l], dh_carry[l] + dx
+            )
         dcontext += dx[:, config.embedding_dim :]
         np.add.at(grad.dec_embed, inputs[:, t], dx[:, : config.embedding_dim])
         dquery, dmem_step, dma = _attention_backward(
@@ -612,23 +620,7 @@ def loss_and_grads(model: Model, enc_ids, dec_ids) -> tuple[float, ModelParams]:
     grad.attn_m += np.einsum("bth,btk->hk", memory, dma_total)
     dmem += dma_total @ params.attn_m.T
 
-    length = memory.shape[1]
-    start = length - len(enc_caches[0])  # leading all-PAD columns were skipped
-    pad = enc == PAD_ID
-    padded = pad.any(axis=0).tolist()
-    dx_embed = np.zeros(
-        (enc.shape[0], length, config.embedding_dim), dtype=params.dtype
-    )
-    for t in reversed(range(start, length)):
-        dx_embed[:, t] = _stack_backward(
-            params.enc_layers,
-            grad.enc_layers,
-            [layer_caches[t - start] for layer_caches in enc_caches],
-            dh_carry,
-            dmem[:, t],
-            pad[:, t, None] if padded[t] else None,
-        )
-    np.add.at(grad.enc_embed, enc, dx_embed)
+    np.add.at(grad.enc_embed, enc, _encode_backward(params, grad, enc_caches, dh_carry, dmem))
     return loss, grad
 
 

@@ -78,6 +78,7 @@ __all__ = [
     "canonical_form",
     "canonical_smiles",
     "canonical_from_string",
+    "check_valence",
     "effective_hcount",
     "morgan_fingerprint",
     "parse_graph",
@@ -271,9 +272,7 @@ def parse_graph(tokens: TokenSequence) -> MolGraph:
     for bond in bonds:
         g.add_bond(bond.a, bond.b, BOND_OF_SYMBOL[bond.symbol])
 
-    for i, atom in enumerate(g.atoms):
-        if atom.hcount is None:
-            effective_hcount(g, i)  # raises ValenceError on overfilled bare atoms
+    check_valence(g)
     return g
 
 
@@ -309,18 +308,33 @@ def _order_sum(g: MolGraph, i: int) -> int:
     return total
 
 
+def _bare_fill(g: MolGraph, i: int) -> int | None:
+    """The hydrogens atom ``i`` would carry written bare; None when no bare
+    form exists."""
+    atom = g.atoms[i]
+    return bare_hydrogen_fill(atom.element, atom.aromatic, _order_sum(g, i))
+
+
 def effective_hcount(g: MolGraph, i: int) -> int:
     """Hydrogen count: explicit, or valence fill for bare atoms."""
     atom = g.atoms[i]
     if atom.hcount is not None:
         return atom.hcount
-    fill = bare_hydrogen_fill(atom.element, atom.aromatic, _order_sum(g, i))
+    fill = _bare_fill(g, i)
     if fill is None:
         raise ValenceError(
             f"atom {i} ({atom.element}, bond order sum {_order_sum(g, i)}) "
             "exceeds its largest valence"
         )
     return fill
+
+
+def check_valence(g: MolGraph) -> None:
+    """Raise :class:`ValenceError` at the first bare atom whose bond order sum
+    exceeds its largest valence."""
+    for i, atom in enumerate(g.atoms):
+        if atom.hcount is None:
+            effective_hcount(g, i)
 
 
 def _ring_atoms(g: MolGraph) -> list[bool]:
@@ -725,15 +739,9 @@ def _atom_text(g: MolGraph, i: int) -> str:
         and atom.isotope is None
         and atom.chirality is None
     ):
-        if atom.hcount is None:
+        if atom.hcount is None or _bare_fill(g, i) == atom.hcount:
             return symbol
-        fill = bare_hydrogen_fill(atom.element, atom.aromatic, _order_sum(g, i))
-        if fill == atom.hcount:
-            return symbol
-    h = atom.hcount
-    if h is None:
-        h = effective_hcount(g, i)
-    return format_bracket(atom, h)
+    return format_bracket(atom, effective_hcount(g, i))
 
 
 def _bond_text(g: MolGraph, u: int, v: int) -> str:

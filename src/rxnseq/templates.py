@@ -44,6 +44,7 @@ from .molgraph import (
     canonical_form,
     canonical_from_string,
     canonical_smiles,
+    check_valence,
     effective_hcount,
     parse_string,
 )
@@ -467,10 +468,7 @@ def _edit_substrate(
         elif atom.charge == 0:
             atom.hcount = None
 
-    # surface chemically impossible edits
-    for i in range(len(work.atoms)):
-        if work.atoms[i].hcount is None:
-            effective_hcount(work, i)
+    check_valence(work)  # surface chemically impossible edits
 
     kept_seeds = set(atom_of_prod_index.values())
     kept: list[int] = []

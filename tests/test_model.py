@@ -471,6 +471,103 @@ class TestGradients:
             assert err < 1e-4, f"{name}: max relative error {err}"
 
 
+def stack_backward(layers, grads, caches, dh_carry, dabove, pad=None):
+    """One time step down a GRU stack, top layer first: the step-major
+    backward the layer-major encoder backward replaced."""
+    for l in reversed(range(len(layers))):
+        dh = dh_carry[l] + dabove
+        cell_dh = dh if pad is None else np.where(pad, 0.0, dh)
+        dabove, dh_carry[l] = m._gru_backward(layers[l], grads[l], caches[l], cell_dh)
+        if pad is not None:
+            dh_carry[l] += np.where(pad, dh, 0.0)
+    return dabove
+
+
+def step_major_loss_and_grads(built, enc, dec):
+    """loss_and_grads with both stacks backpropagated step by step, the
+    encoder's PAD rule worked out again from the ids."""
+    params, config = built.params, built.config
+    enc_caches: list = []
+    step_caches: list = []
+    memory, stack, ma, bias = m._encoder_pass(built, enc, enc_caches)
+    loss, _, fwd = m._teacher_forced(params, memory, ma, bias, stack, dec, step_caches)
+    grad = m.zero_params(config, params.dtype)
+    targets, mask, inputs = fwd["targets"], fwd["mask"], fwd["inputs"]
+    hidden, embed = config.hidden_dim, config.embedding_dim
+    dlogits = fwd["exp"] / fwd["denom"]
+    np.put_along_axis(
+        dlogits,
+        targets[:, :, None],
+        np.take_along_axis(dlogits, targets[:, :, None], axis=2) - 1.0,
+        axis=2,
+    )
+    dlogits *= (mask / fwd["n_tokens"])[:, :, None]
+    dh_carry = [np.zeros_like(memory[:, 0]) for _ in range(config.num_layers)]
+    dmem = np.zeros_like(memory)
+    dma_total = np.zeros_like(memory)
+    for t in reversed(range(targets.shape[1])):
+        att_cache, cell_caches, feat = step_caches[t]
+        dl = dlogits[:, t]
+        grad.out_w += feat.T @ dl
+        grad.out_b += dl.sum(axis=0)
+        dfeat = dl @ params.out_w.T
+        dcontext = dfeat[:, hidden:].copy()
+        dx = stack_backward(
+            params.dec_layers, grad.dec_layers, cell_caches, dh_carry, dfeat[:, :hidden]
+        )
+        dcontext += dx[:, embed:]
+        np.add.at(grad.dec_embed, inputs[:, t], dx[:, :embed])
+        dquery, dmem_step, dma = m._attention_backward(
+            params, grad, att_cache, dcontext, memory, ma
+        )
+        dmem += dmem_step
+        dma_total += dma
+        dh_carry[-1] += dquery
+    grad.attn_m += np.einsum("bth,btk->hk", memory, dma_total)
+    dmem += dma_total @ params.attn_m.T
+    length = memory.shape[1]
+    pad = enc == PAD_ID
+    start = int(np.cumprod(pad.all(axis=0)).sum())
+    padded = pad.any(axis=0).tolist()
+    dx_embed = np.zeros((enc.shape[0], length, embed), dtype=params.dtype)
+    for t in reversed(range(start, length)):
+        dx_embed[:, t] = stack_backward(
+            params.enc_layers,
+            grad.enc_layers,
+            [layer_caches[t - start][-1] for layer_caches in enc_caches],
+            dh_carry,
+            dmem[:, t],
+            pad[:, t, None] if padded[t] else None,
+        )
+    np.add.at(grad.enc_embed, enc, dx_embed)
+    return loss, grad
+
+
+class TestLayerMajorBackward:
+    @pytest.mark.parametrize("num_layers", [1, 3])
+    @pytest.mark.parametrize(
+        "enc",
+        [
+            [[0, 0, 5, 6, 7, 4, 4], [0, 4, 4, 5, 5, 6, 7]],  # leading PADs
+            [[5, 0, 6, 7, 0, 4, 4], [4, 4, 0, 5, 5, 6, 7]],  # interior PADs
+            [[5, 6, 7, 4, 4, 5, 6], [4, 4, 5, 5, 6, 7, 7]],  # no PAD
+            [[0, 0, 5, 0, 7, 4, 4]],  # batch 1, leading and interior PADs
+            [[4, 5, 6, 7, 7, 6, 5]],  # batch 1, no PAD
+        ],
+        ids=["leading", "interior", "none", "one-row-padded", "one-row"],
+    )
+    def test_gradients_match_the_step_major_backward_bit_for_bit(self, num_layers, enc):
+        enc = np.array(enc, dtype=np.int64)
+        _, dec = tiny_batch()
+        dec = dec[: enc.shape[0]]
+        built = init_model(tiny_config(num_layers=num_layers, hidden_dim=8, seed=31))
+        loss, grads = loss_and_grads(built, enc, dec)
+        ref_loss, ref_grads = step_major_loss_and_grads(built, enc, dec)
+        assert loss == ref_loss
+        for (name, g), (_, ref) in zip(grads.named(), ref_grads.named()):
+            assert g.tobytes() == ref.tobytes(), name
+
+
 def arrays_in(obj):
     """Every array in a nest of tuples and lists, with each array it views."""
     if isinstance(obj, (tuple, list)):
@@ -523,12 +620,13 @@ class TestTrainingMemory:
         enc, _ = tiny_batch()
         caches: list = []
         memory, *_ = m._encoder_pass(built, enc, caches)
-        start = enc.shape[1] - len(caches[0])
-        assert start == 1  # the all-PAD first column is skipped
-        outputs = [layer_caches[0][0].base for layer_caches in caches[1:]] + [memory]
+        for layer_caches in caches:
+            # the all-PAD first column is skipped
+            assert [t for t, _, _ in layer_caches] == list(range(1, enc.shape[1]))
+        outputs = [layer_caches[0][2][0].base for layer_caches in caches[1:]] + [memory]
         for layer_caches, out in zip(caches, outputs):
-            for k, (_, h, *_) in enumerate(layer_caches[1:], start=1):
-                assert np.shares_memory(h, out[:, start + k - 1])
+            for t, _, (_, h, *_) in layer_caches[1:]:
+                assert np.shares_memory(h, out[:, t - 1])
 
 
 def build_overfit_single():
