@@ -683,14 +683,9 @@ def fit(
         raise ValueError("no training examples")
     log = TrainLog()
     last = None
-    for epoch in itertools.count():
-        if log.steps >= steps:
-            break
-        for batch in batch_iter(examples, batch_size, seed, epoch):
-            if log.steps >= steps:
-                break
-            log.losses.append(train_step(model, batch.encoder, batch.decoder))
-            last = batch
+    epochs = (batch_iter(examples, batch_size, seed, epoch) for epoch in itertools.count())
+    for last in itertools.islice(itertools.chain.from_iterable(epochs), steps):
+        log.losses.append(train_step(model, last.encoder, last.decoder))
     # Checked once, after the last update: an SGD update never makes a
     # non-finite weight finite again, and finite but huge weights overflow
     # in the forward pass.

@@ -16,19 +16,20 @@ node's individualized atoms, is skipped, and a branch whose first atom
 joins such an orbit is abandoned.  A skipped branch is the image of a
 tried one, so it holds the same renderings and the result is unchanged.
 The search starts out knowing the cheapest automorphisms: the swap of
-two terminal atoms that share a neighbour, a bond order, an initial rank
-and an emitted atom text (a CF3's fluorines, a gem-dimethyl's methyls).
-Such a swap maps every leaf to one that renders the same string, so it
-prunes as a found one does, without the leaves that would find it.  The
-text is in the key because stereo markers are not ranked: ``C`` and
-``[C@H3]`` share a rank, but swapping them changes the rendering.  A leaf
-is not rendered when the map from the r-th ranked atom of the smallest
-rendering's first leaf to its own r-th ranked atom is an automorphism: it
-renders that string, and the map is the one the emission orders would
-give (``c1cc(C(F)(F)F)ccc1-c1ccc(C(F)(F)F)cc1`` takes 4 leaves and 1
+two equal terminal atoms that share a neighbour, a bond order and an
+initial rank (a CF3's fluorines, a gem-dimethyl's methyls).  Such a swap
+maps every leaf to one that renders the same string, so it prunes as a
+found one does, without the leaves that would find it.  Equal means in
+every field: ``C`` and ``[C@H3]`` share a rank, ``C`` and ``[CH3]`` a
+text too, and neither pair swaps; a map that leaves rendering alike give
+is dropped unless it holds in that sense.  A leaf is not rendered when
+the map from the r-th ranked atom of the smallest rendering's first leaf
+to its own r-th ranked atom is an automorphism: it renders that string,
+and the map is the one the emission orders would give
+(``c1cc(C(F)(F)F)ccc1-c1ccc(C(F)(F)F)cc1`` takes 4 leaves and 1
 rendering).
-:func:`canonical_form` hands back the automorphisms the search knew, the
-twin swaps and those its leaves found, with the string;
+:func:`canonical_form` hands back the graph, the string and the
+automorphisms the search knew, the twin swaps and those its leaves found;
 :func:`canonical_smiles` keeps the string alone.
 ``canonical_from_string`` remembers its most recent distinct inputs.
 Stereo markers are carried through emission but excluded from ranking,
@@ -544,18 +545,19 @@ _EMISSION_BUDGET = 20000
 
 
 def _twin_swaps(g: MolGraph, ranks: list[int]) -> list[dict[int, int]]:
-    """The swap of every pair of terminal atoms that share a neighbour, a
-    bond order, a rank and an emitted text, as moves: atom -> image."""
+    """The swap of every pair of equal terminal atoms that share a
+    neighbour, a bond order and a rank, as moves: atom -> image."""
     twins: dict[tuple, list[int]] = {}
     for i, nbrs in enumerate(g._adj):
         if len(nbrs) == 1:
             ((j, order),) = nbrs.items()
-            twins.setdefault((j, order, ranks[i], _atom_text(g, i)), []).append(i)
+            twins.setdefault((j, order, ranks[i]), []).append(i)
     swaps = []
     for group in twins.values():
         for k, a in enumerate(group):
             for b in group[k + 1:]:
-                swaps.append({a: b, b: a})
+                if g.atoms[a] == g.atoms[b]:
+                    swaps.append({a: b, b: a})
     return swaps
 
 
@@ -581,11 +583,11 @@ def _canonical_component(g: MolGraph) -> tuple[str, list[dict[int, int]]]:
     A node's children individualize each atom of its first tied class;
     children in the orbit of a tried sibling are skipped (module
     docstring).  The automorphisms are the terminal twins' swaps and those
-    that leaves repeating a rendering yield.  A leaf is first matched
-    against the first leaf of the smallest rendering so far: when mapping
-    the atom ranked r-th there to the atom ranked r-th here, for every r,
-    is an automorphism, the leaf renders that string and the map is the
-    one the emission orders would give, so it is not rendered.
+    that leaves repeating a rendering yield and that hold.  A leaf is
+    first matched against the first leaf of the smallest rendering so far:
+    when mapping the atom ranked r-th there to the atom ranked r-th here,
+    for every r, is an automorphism, the leaf renders that string and the
+    map is the one the emission orders would give, so it is not rendered.
     """
     n = len(g.atoms)
     bonds = _bond_keys(g)
@@ -621,6 +623,8 @@ def _canonical_component(g: MolGraph) -> tuple[str, list[dict[int, int]]]:
             sigma = list(range(n))
             for a, b in zip(earlier_order, order):
                 sigma[a] = b
+            if not _automorphism(g, sigma):
+                return len(nodes)  # equal texts, unequal atoms: [CH3] and C
         # an automorphism is kept as its moves: the atoms it does not fix
         automorphisms.append({a: b for a, b in enumerate(sigma) if a != b})
         # resume at the shallowest node whose current child just joined
@@ -661,31 +665,33 @@ def _canonical_component(g: MolGraph) -> tuple[str, list[dict[int, int]]]:
 
 
 class CanonicalForm(NamedTuple):
-    """A graph's canonical SMILES and automorphisms of that graph, each as
-    its moves (atom -> image, in the graph's own atom indices).
+    """A graph, its canonical SMILES and automorphisms of it, each as its
+    moves (atom -> image, in the graph's own atom indices).
 
     The automorphisms are those the search knew: the terminal twins' swaps
-    and those its leaves found.  They need not generate the whole group,
-    and no automorphism swaps two components.
+    and those its leaves found.  Each maps every atom to an equal one and
+    every bond to one of the same order.  They need not generate the whole
+    group, and none swaps two components.  ``graph`` is not a copy.
     """
 
+    graph: MolGraph
     smiles: str
     automorphisms: tuple[dict[int, int], ...]
 
 
 def canonical_form(g: MolGraph) -> CanonicalForm:
-    """:func:`canonical_smiles` with the automorphisms its search found."""
+    """:func:`canonical_smiles` with ``g`` and the automorphisms found."""
     comps = g.components()
     if len(comps) == 1:
         smiles, automorphisms = _canonical_component(g)
-        return CanonicalForm(smiles, tuple(automorphisms))
+        return CanonicalForm(g, smiles, tuple(automorphisms))
     parts = []
     automorphisms = []
     for comp in comps:
         smiles, found = _canonical_component(g.subgraph(comp))
         parts.append(smiles)
         automorphisms += [{comp[a]: comp[b] for a, b in moves.items()} for moves in found]
-    return CanonicalForm(".".join(sorted(parts)), tuple(automorphisms))
+    return CanonicalForm(g, ".".join(sorted(parts)), tuple(automorphisms))
 
 
 def canonical_smiles(g: MolGraph) -> str:

@@ -19,10 +19,10 @@ remaining ties broken by the lexicographically smallest canonical
 product.  An embedding that a substrate automorphism maps onto one already
 edited is skipped (both orientations of ``[C:1]=[C:2]`` on ``C=C`` give
 one edit): its edit is the same molecule, so it scores and canonicalizes
-alike.  The automorphisms are those the substrate's canonicalization found
-(:func:`canonical_form`), so ``generate_dataset`` canonicalizes each
-substrate once, for the filter's duplicate check, the reactant text and
-the skips alike.
+alike.  A substrate is passed as its :class:`CanonicalForm`, which holds
+the graph, the reactant text and the automorphisms, so ``generate_dataset``
+canonicalizes each substrate once, for the filter's duplicate check, the
+reactant text and the skips alike.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .molgraph import (
     GraphError,
     MolGraph,
     ValenceError,
-    _automorphism,
     canonical_form,
     canonical_from_string,
     canonical_smiles,
@@ -489,30 +488,23 @@ def _edit_substrate(
 
 
 def apply_template(
-    template: ReactionTemplate, substrate: MolGraph, form: CanonicalForm | None = None
+    template: ReactionTemplate, substrate: CanonicalForm
 ) -> list[ReactionRecord]:
-    """Apply a template to one substrate molecule.
+    """Apply a template to one substrate molecule, given as its
+    :func:`canonical_form`.
 
     Returns an empty list when the pattern does not match, otherwise a
-    single record for the selected product.  ``form`` is the substrate's
-    :func:`canonical_form`, computed here when not given: its string gives
-    the reactants, and its automorphisms, each checked against
-    ``substrate``, the embeddings to skip (module docstring).  Every edited
-    embedding is scored first; only the best-scoring products are
-    canonicalized, since the rule picks among them alone, and a product
-    identical to an earlier one, atom for atom and bond for bond, is not
-    canonicalized again.
+    single record for the selected product.  The form's graph is matched
+    and edited, its string gives the reactants, and its automorphisms the
+    embeddings to skip (module docstring).  Every edited embedding is
+    scored first; only the best-scoring products are canonicalized, since
+    the rule picks among them alone, and a product identical to an earlier
+    one, atom for atom and bond for bond, is not canonicalized again.
     """
-    embeddings = match_pattern(template.substrate_pattern, substrate)
+    g, automorphisms = substrate.graph, substrate.automorphisms
+    embeddings = match_pattern(template.substrate_pattern, g)
     if not embeddings:
         return []
-    if form is None:
-        form = canonical_form(substrate)
-    automorphisms = [
-        moves
-        for moves in form.automorphisms
-        if _automorphism(substrate, [moves.get(i, i) for i in range(len(substrate.atoms))])
-    ]
     edited: set[tuple[int, ...]] = set()
     best_score = -2  # below every score
     best: list[MolGraph] = []  # the best-scoring products, no two identical
@@ -521,7 +513,7 @@ def apply_template(
         if any(tuple([moves.get(a, a) for a in atoms]) in edited for moves in automorphisms):
             continue
         edited.add(atoms)
-        work, kept, gained = _edit_substrate(substrate, template, embedding)
+        work, kept, gained = _edit_substrate(g, template, embedding)
         score = max((_heavy_degree(work, i) for i in gained), default=-1)
         if score > best_score:
             best_score, best = score, []
@@ -530,7 +522,7 @@ def apply_template(
             if not any(product.atoms == p.atoms and product._adj == p._adj for p in best):
                 best.append(product)
     products = min(tuple(canonical_smiles(p).split(".")) for p in best)
-    reactants = _parts(form.smiles) + list(template.coreactants)
+    reactants = _parts(substrate.smiles) + list(template.coreactants)
     return [
         ReactionRecord(
             reactants=tuple(sorted(reactants)),
@@ -619,18 +611,18 @@ _HALIDE_SWAPS = ("Cl", "Br", "I")
 
 def enumerate_substrates(
     raw: list[str], f: SubstrateFilter
-) -> tuple[list[tuple[MolGraph, CanonicalForm]], list[tuple[int, str, str]]]:
+) -> tuple[list[CanonicalForm], list[tuple[int, str, str]]]:
     """Parse, filter, and halogen-expand substrate SMILES.
 
     Fluorine-containing substrates additionally yield Cl/Br/I variants.  A
     variant is accepted when it has 1 to 10 heavy atoms, at most one
     functional group and no forbidden motif, and has not been accepted
-    before.  Returns (accepted (graph, canonical form) pairs, skipped (line
+    before.  Returns (accepted variants' canonical forms, skipped (line
     number, text, reason) rows); invalid lines are skipped, never fatal, and
     a rejected variant's text is its canonical SMILES.  Each variant is
     canonicalized once.
     """
-    accepted: list[tuple[MolGraph, CanonicalForm]] = []
+    accepted: list[CanonicalForm] = []
     skipped: list[tuple[int, str, str]] = []
     seen: set[str] = set()
     for line_number, text in numbered_lines(raw):
@@ -654,7 +646,7 @@ def enumerate_substrates(
                 skipped.append((line_number, form.smiles, reason))
             elif form.smiles not in seen:
                 seen.add(form.smiles)
-                accepted.append((variant, form))
+                accepted.append(form)
     return accepted, skipped
 
 
@@ -690,9 +682,9 @@ def generate_dataset(
     records: dict[str, ReactionRecord] = {}
     failures: list[tuple[str, str, str]] = []
     for template in templates:
-        for g, form in accepted:
+        for form in accepted:
             try:
-                produced = apply_template(template, g, form)
+                produced = apply_template(template, form)
             except (GraphError, ValenceError) as exc:
                 failures.append((template.name, form.smiles, str(exc)))
                 logger.warning(

@@ -32,7 +32,7 @@ from rxnseq.model import (
     loss_and_grads,
     predict_with_attention,
 )
-from rxnseq.molgraph import canonical_from_string, parse_string, random_smiles
+from rxnseq.molgraph import canonical_form, canonical_from_string, parse_string, random_smiles
 from rxnseq.pipeline import (
     BucketSpec,
     batch_iter,
@@ -174,7 +174,7 @@ def test_pattern_matcher_agrees_with_exhaustive_search():
 
 def test_shipped_hydrochlorination_adds_chlorine_at_the_branched_carbon():
     template = next(t for t in shipped_templates() if t.name == "hydrochlorination")
-    (record,) = apply_template(template, parse_string("CC=C(C)C"))
+    (record,) = apply_template(template, canonical_form(parse_string("CC=C(C)C")))
     assert record.products == (canonical_from_string("CCC(C)(C)Cl"),)
     assert canonical_from_string("CCC(C)(C)Cl") == "CCC(C)(C)Cl"
 
@@ -224,28 +224,31 @@ def test_small_training_run_memorizes_fifty_generated_reactions():
     input_vocab, output_vocab = build_vocabs(records)
     buckets = bucket_for(records)
     examples = [encode_example(r, input_vocab, output_vocab, buckets) for r in records]
-    config = ModelConfig(
-        input_vocab_size=len(input_vocab),
-        output_vocab_size=len(output_vocab),
-        num_layers=3,
-        embedding_dim=64,
-        hidden_dim=64,
-        buckets=buckets,
-        learning_rate=6.0,
-        gradient_clip_norm=0.5,
-        seed=0,
-    )
-    model = init_model(config)
-
     enc = np.array([ex.encoder_ids for ex in examples])
     dec = np.array([ex.decoder_ids for ex in examples])
     flat_start = math.log(len(output_vocab))
-    assert abs(batch_loss(model, enc, dec) - flat_start) <= 0.1 * flat_start
+    # four model seeds: the gate tests the recipe, not one roundoff trajectory
+    hits = {}
+    for seed in range(4):
+        config = ModelConfig(
+            input_vocab_size=len(input_vocab),
+            output_vocab_size=len(output_vocab),
+            num_layers=3,
+            embedding_dim=64,
+            hidden_dim=64,
+            buckets=buckets,
+            learning_rate=6.0,
+            gradient_clip_norm=0.5,
+            seed=seed,
+        )
+        model = init_model(config)
+        assert abs(batch_loss(model, enc, dec) - flat_start) <= 0.1 * flat_start
 
-    start = time.perf_counter()
-    fit(model, examples, steps=500, batch_size=25, seed=11)
-    assert time.perf_counter() - start < 600.0
-    assert exact_hits(model, records, examples, output_vocab) >= 48  # 95% of 50
+        start = time.perf_counter()
+        fit(model, examples, steps=800, batch_size=25, seed=11)
+        assert time.perf_counter() - start < 600.0
+        hits[seed] = exact_hits(model, records, examples, output_vocab)
+    assert min(hits.values()) >= 48, hits  # 95% of 50
 
 
 # Markovnikov additions across C=C: the family shares one substrate pattern,
@@ -334,7 +337,7 @@ def family_records(alkenes):
     records = {}
     for template in family:
         for text in alkenes:
-            for record in apply_template(template, parse_string(text)):
+            for record in apply_template(template, canonical_form(parse_string(text))):
                 records.setdefault(record.smiles(), record)
     return list(records.values())
 

@@ -30,9 +30,9 @@ def test_templates_file_loads_with_unique_names():
 def test_substrates_all_pass_the_default_filter():
     lines = (DATA / "substrates.smi").read_text().splitlines()
     raw = [line for line in lines if line.strip() and not line.startswith("#")]
-    graphs, skipped = enumerate_substrates(raw, default_substrate_filter())
+    forms, skipped = enumerate_substrates(raw, default_substrate_filter())
     assert skipped == []
-    assert len(graphs) >= len(raw)  # halogen expansion never shrinks the set
+    assert len(forms) >= len(raw)  # halogen expansion never shrinks the set
 
 
 def test_corpus_lines_are_unique_and_ingestible():

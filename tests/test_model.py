@@ -654,6 +654,24 @@ def overfit_single():
     return build_overfit_single()
 
 
+def three_reactions():
+    """Three encoded reactions in one bucket, and a tiny config at a small rate."""
+    records = [
+        normalize(parse_record(line))
+        for line in ("CC=C(C)C.Cl>>CCC(C)(C)Cl", "C=C.Br>>CCBr", "C1=CCCCC1.Br>>BrC1CCCCC1")
+    ]
+    input_vocab, output_vocab = build_vocabs(records)
+    buckets = BucketSpec(((16, 16),))
+    examples = [encode_example(r, input_vocab, output_vocab, buckets) for r in records]
+    config = tiny_config(
+        input_vocab_size=len(input_vocab),
+        output_vocab_size=len(output_vocab),
+        buckets=buckets,
+        learning_rate=1e-4,
+    )
+    return examples, config
+
+
 class TestTraining:
     def test_memorizes_single_reaction(self):
         built, example, record, output_vocab, log = overfit_single()
@@ -712,19 +730,7 @@ class TestTraining:
     def test_fit_is_train_step_over_batch_iter_epochs_bit_for_bit(self):
         # A small rate keeps the loss almost flat, so any rule reacting to
         # loss noise would change the rate partway through.
-        records = [
-            normalize(parse_record(line))
-            for line in ("CC=C(C)C.Cl>>CCC(C)(C)Cl", "C=C.Br>>CCBr", "C1=CCCCC1.Br>>BrC1CCCCC1")
-        ]
-        input_vocab, output_vocab = build_vocabs(records)
-        buckets = BucketSpec(((16, 16),))
-        examples = [encode_example(r, input_vocab, output_vocab, buckets) for r in records]
-        config = tiny_config(
-            input_vocab_size=len(input_vocab),
-            output_vocab_size=len(output_vocab),
-            buckets=buckets,
-            learning_rate=1e-4,
-        )
+        examples, config = three_reactions()
         fitted, looped = init_model(config), init_model(config)
         steps, batch_size, seed = 160, 2, 4
         log = fit(fitted, examples, steps=steps, batch_size=batch_size, seed=seed)
@@ -734,6 +740,23 @@ class TestTraining:
         assert log.losses == losses
         for (name, a), (_, b) in zip(fitted.params.named(), looped.params.named()):
             assert a.tobytes() == b.tobytes(), name
+
+    def test_fit_builds_one_batch_per_step(self, monkeypatch):
+        # batch 1 over three examples: a 3-batch epoch, cut before, at and
+        # past its end
+        examples, config = three_reactions()
+        built = []
+
+        def counting(*args):
+            for batch in batch_iter(*args):
+                built.append(batch)
+                yield batch
+
+        monkeypatch.setattr(m, "batch_iter", counting)
+        for steps in (1, 2, 3, 4):
+            built.clear()
+            fit(init_model(config), examples, steps=steps, batch_size=1, seed=4)
+            assert len(built) == steps
 
 
 # One layer a side and two units, so every byte of its 1378-byte file can be

@@ -373,8 +373,13 @@ STEREO_TWINS = {
 }
 
 
+# Terminal twins whose texts match but whose atoms do not: a bracket
+# ``[CH3]`` holds hcount 3 and a bare ``C`` none, so no swap may pair them.
+BRACKET_TWINS = ["CC([CH3])C", "C([CH3])([CH3])C", "FC(F)[F]", "CC(C)[CH3]", "OC([OH])=O"]
+
+
 def test_pruned_search_matches_exhaustive_search():
-    for text in corpus_molecules() + CAGES + list(STEREO_TWINS):
+    for text in corpus_molecules() + CAGES + list(STEREO_TWINS) + BRACKET_TWINS:
         g = parse_string(text)
         for rendering in (text, random_smiles(g, 1), random_smiles(g, 2)):
             graph = parse_string(rendering)
@@ -483,11 +488,12 @@ def shipped_substrates() -> list[str]:
 
 def test_canonical_form_returns_automorphisms_that_hold():
     texts = corpus_molecules() + shipped_substrates() + CAGES + ["C=C.C=C", "CC(C)C.C1CC1"]
+    texts += list(STEREO_TWINS) + BRACKET_TWINS
     moved = 0
     for text in texts:
         g = parse_string(text)
         form = canonical_form(g)
-        assert form.smiles == canonical_smiles(g), text
+        assert form.graph is g and form.smiles == canonical_smiles(g), text
         for moves in form.automorphisms:
             assert moves and all(a != b for a, b in moves.items()), (text, moves)
             sigma = [moves.get(i, i) for i in range(len(g.atoms))]
@@ -506,6 +512,8 @@ def test_canonical_form_returns_automorphisms_that_hold():
         ("CCO", ()),
         # one swap per component, in the whole graph's atom numbers
         ("CC.OC=CO", ({0: 1, 1: 0}, {2: 5, 3: 4, 4: 3, 5: 2})),
+        # the bracket [CH3] is no bare C's twin
+        ("CC([CH3])C", ({0: 3, 3: 0},)),
     ],
 )
 def test_canonical_form_automorphisms_of_small_molecules(text, moves):

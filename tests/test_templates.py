@@ -230,7 +230,7 @@ def test_precheck_searches_nothing(monkeypatch):
 
 def test_apply_hydrochlorination_markovnikov():
     t = template(HYDROCHLORINATION)
-    (record,) = apply_template(t, parse_string("CC=C(C)C"))
+    (record,) = apply_template(t, canonical_form(parse_string("CC=C(C)C")))
     assert record.products == (canonical_from_string("CCC(C)(C)Cl"),)
     assert record.reactants == tuple(
         sorted([canonical_from_string("CC=C(C)C"), "Cl"])
@@ -240,7 +240,7 @@ def test_apply_hydrochlorination_markovnikov():
 
 def test_apply_hydration_ethene():
     t = template(HYDRATION)
-    (record,) = apply_template(t, parse_string("C=C"))
+    (record,) = apply_template(t, canonical_form(parse_string("C=C")))
     assert record.products == (canonical_from_string("CCO"),)
     assert canonical_from_string("O") in record.reactants
     assert record.reagents == (canonical_from_string("OS(=O)(=O)O"),)
@@ -248,24 +248,24 @@ def test_apply_hydration_ethene():
 
 def test_apply_no_match_returns_empty():
     t = template(HYDROCHLORINATION)
-    assert apply_template(t, parse_string("CCC")) == []
+    assert apply_template(t, canonical_form(parse_string("CCC"))) == []
 
 
 def test_apply_dehydration_removes_mapped_atom():
     t = template(DEHYDRATION)
-    (record,) = apply_template(t, parse_string("CCO"))
+    (record,) = apply_template(t, canonical_form(parse_string("CCO")))
     assert record.products == (canonical_from_string("C=C"),)
 
 
 def test_apply_markovnikov_propene():
     t = template(HYDROCHLORINATION)
-    (record,) = apply_template(t, parse_string("CC=C"))
+    (record,) = apply_template(t, canonical_form(parse_string("CC=C")))
     assert record.products == (canonical_from_string("CC(Cl)C"),)
 
 
 def test_apply_symmetric_alkene_single_product():
     t = template(HYDROCHLORINATION)
-    (record,) = apply_template(t, parse_string("CC=CC"))
+    (record,) = apply_template(t, canonical_form(parse_string("CC=CC")))
     assert record.products == (canonical_from_string("CC(Cl)CC"),)
 
 
@@ -274,7 +274,7 @@ def test_apply_main_product_only_for_ester_hydrolysis():
         "ester_hydrolysis | [C:1][C:2](=[O:3])[O:4][C:5] | O | Cl | "
         "[C:1][C:2](=[O:3])[O:4]"
     )
-    (record,) = apply_template(t, parse_string("CC(=O)OC"))
+    (record,) = apply_template(t, canonical_form(parse_string("CC(=O)OC")))
     assert record.products == (canonical_from_string("CC(=O)O"),)
 
 
@@ -348,8 +348,8 @@ def test_enumerate_substrates_filters():
         "[H][H]",           # no heavy atom
     ]
     accepted, skipped = enumerate_substrates(raw, f)
-    assert [form.smiles for _, form in accepted] == [canonical_from_string("CC=C")]
-    assert [canonical_smiles(g) for g, _ in accepted] == [canonical_from_string("CC=C")]
+    (form,) = accepted
+    assert form.smiles == canonical_smiles(form.graph) == canonical_from_string("CC=C")
     assert skipped == [
         (2, "C=CC=C", "2 functional groups"),
         (3, "C=CCCCCCCCCCC", "atom count out of range"),
@@ -362,7 +362,7 @@ def test_enumerate_substrates_filters():
 def test_enumerate_substrates_halide_expansion():
     f = default_substrate_filter()
     accepted, _ = enumerate_substrates(["CF"], f)
-    assert [canonical_smiles(g) for g, _ in accepted] == [
+    assert [canonical_smiles(form.graph) for form in accepted] == [
         canonical_from_string(s) for s in ("CF", "CCl", "CBr", "CI")
     ]
 
@@ -437,9 +437,10 @@ def test_apply_matches_the_unskipped_application_on_the_shipped_data():
     templates, accepted = shipped()
     pairs = 0
     for template in templates:
-        for g, form in accepted:
-            got = outcome(apply_template, template, g, form)
-            assert got == outcome(reference_apply, template, g), (template.name, form.smiles)
+        for form in accepted:
+            expected = outcome(reference_apply, template, form.graph)
+            got = outcome(apply_template, template, form)
+            assert got == expected, (template.name, form.smiles)
             pairs += 1
     assert pairs == 1674
 
@@ -453,12 +454,10 @@ OVERFILL = "overfill | [C:1]=[C:2] | | | [C:1]=[C:2](=O)=O"
 def test_apply_matches_the_unskipped_application_on_symmetric_substrates():
     templates = shipped()[0] + load_templates([OVERFILL])
     for text in SYMMETRIC_SUBSTRATES:
-        g = parse_string(text)
+        form = canonical_form(parse_string(text))
         for template in templates:
-            expected = outcome(reference_apply, template, g)
-            assert outcome(apply_template, template, g) == expected, (template.name, text)
-            form = canonical_form(g)
-            assert outcome(apply_template, template, g, form) == expected, (template.name, text)
+            expected = outcome(reference_apply, template, form.graph)
+            assert outcome(apply_template, template, form) == expected, (template.name, text)
 
 
 def test_gen_canonicalizes_each_substrate_once_and_no_mirrored_product(monkeypatch):
